@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use helix_analysis::{AliasTier, PointsTo};
 use helix_hcc::{compile, HccConfig};
 use helix_ring_cache::{RingCache, RingConfig};
-use helix_sim::{simulate, simulate_sequential, EngineSel, MachineConfig, SimSession};
+use helix_sim::{simulate, simulate_sequential, EngineSel, MachineConfig};
 use helix_workloads::{by_name, Scale};
 
 fn ring_throughput(c: &mut Criterion) {
@@ -111,33 +111,10 @@ fn helix_rc_cycles_per_sec(c: &mut Criterion) {
     });
 }
 
-/// Lane-batched session drain on the campaign's dominant shape: a mixed
-/// batch of helix-rc and conventional 16-core lanes over one shared
-/// decode, scheduled off the session's next-event heap with retired
-/// machines recycled through the pool. The session (and its warm pool)
-/// persists across iterations, so this tracks exactly what a campaign
-/// scenario's steady-state batch costs.
-fn session_drain(c: &mut Criterion) {
-    let w = by_name("175.vpr", Scale::Test).unwrap();
-    let compiled = compile(&w.program, &HccConfig::v3(16)).unwrap();
-    let mut session = SimSession::new(&compiled.program, &compiled.plans);
-    c.bench_function("sim/session_drain", |b| {
-        b.iter(|| {
-            for _ in 0..2 {
-                session.enqueue(MachineConfig::helix_rc(16), 1 << 26);
-                session.enqueue(MachineConfig::conventional(16), 1 << 26);
-            }
-            for lane in session.drain() {
-                lane.result.unwrap();
-            }
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = ring_throughput, analysis_speed, compile_speed, simulator_rate, cycles_per_sec,
-        helix_rc_cycles_per_sec, session_drain
+        helix_rc_cycles_per_sec
 }
 criterion_main!(benches);

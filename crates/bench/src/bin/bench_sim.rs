@@ -24,14 +24,17 @@
 //! run to the JSON — the profile that shows where the ring-path cycles
 //! go.
 
-use helix_rc::campaign::{load_campaign, run_campaign_stats, CampaignRunOptions};
+use helix_rc::campaign::{
+    load_campaign, run_campaign_stats, CampaignRow, CampaignRunOptions, LoweredCampaign,
+};
 use helix_rc::experiment::{
     decoupling_lattice, sweep_core_count, ExperimentOptions, LatticePoint, FUEL,
 };
 use helix_rc::hcc::{compile, HccConfig};
 use helix_rc::report::json_escape;
-use helix_rc::sim::{simulate, simulate_sequential, Bucket, EngineSel, MachineConfig, SimSession};
+use helix_rc::sim::{simulate, simulate_sequential, Bucket, EngineSel, MachineConfig};
 use helix_rc::workloads::{cint_suite, Scale, Workload};
+use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -188,87 +191,54 @@ fn lattice_sweep_optimized(ws: &[Workload]) {
 }
 
 /// Wall-clock of the `full` campaign profile (every committed scenario,
-/// headline experiment grid) at its native full scale, in three
-/// execution modes:
+/// headline experiment grid) at its native full scale, three ways:
 ///
-/// * **before** — per-cell runs on the tree-walking interpreter with
-///   the naive one-cycle-at-a-time loop (no event-skipping
-///   fast-forward): the pre-optimization structure, every cell
-///   compiling and simulating everything itself on the naive engine —
-///   the same "before" convention every workload row uses;
-/// * **percell_decoded** — per-cell runs on the decoded engine, i.e.
-///   the shipped pre-lane behaviour (`--lanes 1`);
-/// * **after** — batched lanes (`--lanes 8`): per-scenario shared
-///   compile/decode/report cache plus lockstep lane stepping.
+/// * **before** — every grid cell on its own and uncached, through the
+///   public experiment calls, on the tree-walking interpreter with the
+///   naive one-cycle-at-a-time loop (no event-skipping fast-forward):
+///   the pre-optimization structure and the same "before" convention
+///   every workload row uses;
+/// * **percell_decoded** — the same per-cell uncached calls on the
+///   decoded engine with fast-forward (`ExperimentOptions::default()`);
+/// * **after** — the campaign as shipped: one work unit and one
+///   compile/decode/run cache per scenario.
 ///
-/// All three reports are asserted byte-identical before any number is
-/// reported — the lane-exactness property, enforced at measurement
-/// time.
+/// Both per-cell runs are asserted row-for-row equal to the campaign
+/// report before any number is reported. They cover the grid cells
+/// only; the campaign's time also includes its derived rows.
 fn campaign_full_times() -> (f64, f64, f64) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/full.toml");
     let (spec, scenarios) = load_campaign(Path::new(path)).expect("load campaigns/full.toml");
     // The spec's native full scale: Test-scale cells are so small that
-    // compile time dominates and the engine/batching deltas this row
+    // compile time dominates and the engine/caching deltas this row
     // exists to track disappear into the noise.
-    let run = |options: &CampaignRunOptions| {
+    let t0 = Instant::now();
+    let (report, _) = run_campaign_stats(&spec, &scenarios, &CampaignRunOptions::default())
+        .expect("full campaign");
+    let after_secs = t0.elapsed().as_secs_f64();
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    let lowered = LoweredCampaign::new(&spec, &scenarios).expect("lower campaigns/full.toml");
+    let per_cell = |opts: &ExperimentOptions| {
         let t0 = Instant::now();
-        let (report, _) = run_campaign_stats(&spec, &scenarios, options).expect("full campaign");
-        (t0.elapsed().as_secs_f64(), report.to_json())
+        let rows: Vec<CampaignRow> = lowered
+            .cells
+            .par_iter()
+            .map(|&cell| lowered.run_cell(cell, opts).expect("full campaign cell"))
+            .collect();
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(
+            rows == report.rows,
+            "per-cell rows differ from the campaign report"
+        );
+        secs
     };
-    let (after_secs, after_json) = run(&CampaignRunOptions {
-        lanes: 8,
-        ..CampaignRunOptions::default()
-    });
-    let (percell_secs, percell_json) = run(&CampaignRunOptions::default());
-    let (before_secs, before_json) = run(&CampaignRunOptions {
-        engine: Some(EngineSel::Tree),
-        fast_forward: false,
-        ..CampaignRunOptions::default()
-    });
-    assert_eq!(
-        after_json, percell_json,
-        "batched campaign report differs from per-cell decoded run"
-    );
-    assert_eq!(
-        after_json, before_json,
-        "batched campaign report differs from per-cell tree run"
+    let percell_secs = per_cell(&ExperimentOptions::default());
+    let before_secs = per_cell(
+        &ExperimentOptions::default()
+            .with_engine(EngineSel::Tree)
+            .without_fast_forward(),
     );
     (before_secs, percell_secs, after_secs)
-}
-
-/// The `sim/session_drain` criterion scenario, measured into the
-/// snapshot: a mixed four-lane batch of 175.vpr (2× helix-rc-16 +
-/// 2× conventional-16) drained through one warm [`SimSession`] —
-/// shared decode, next-event-heap scheduling, machine-pool recycling —
-/// vs the same four simulations run standalone. Returns
-/// `(standalone_secs, session_secs)`.
-fn session_drain_times(ws: &[Workload]) -> Option<(f64, f64)> {
-    let w = ws.iter().find(|w| w.name == "175.vpr")?;
-    let compiled = compile(&w.program, &HccConfig::v3(16)).expect(&w.name);
-    let standalone_secs = timed(|| {
-        for _ in 0..2 {
-            simulate(&compiled, &MachineConfig::helix_rc(16), FUEL).expect(&w.name);
-            simulate(&compiled, &MachineConfig::conventional(16), FUEL).expect(&w.name);
-        }
-    });
-    let mut session = SimSession::new(&compiled.program, &compiled.plans);
-    // One untimed drain warms the shared decode and the machine pool,
-    // matching the steady state a campaign batch runs in.
-    session.enqueue(MachineConfig::helix_rc(16), FUEL);
-    session.enqueue(MachineConfig::conventional(16), FUEL);
-    for lane in session.drain() {
-        lane.result.expect(&w.name);
-    }
-    let session_secs = timed(|| {
-        for _ in 0..2 {
-            session.enqueue(MachineConfig::helix_rc(16), FUEL);
-            session.enqueue(MachineConfig::conventional(16), FUEL);
-        }
-        for lane in session.drain() {
-            lane.result.expect(&w.name);
-        }
-    });
-    Some((standalone_secs, session_secs))
 }
 
 /// Median of `values` (not empty).
@@ -306,10 +276,7 @@ fn main() {
     let before_secs = timed(|| lattice_sweep_naive(&ws));
     let after_secs = timed(|| lattice_sweep_optimized(&ws));
 
-    eprintln!("measuring session drain vs standalone runs...");
-    let drain = session_drain_times(&ws);
-
-    eprintln!("measuring full-profile campaign wall-clock (tree / per-cell / batched)...");
+    eprintln!("measuring full-profile campaign wall-clock (tree / per-cell / cached)...");
     let (cf_before, cf_percell, cf_after) = campaign_full_times();
 
     let threads = std::thread::available_parallelism()
@@ -422,19 +389,6 @@ fn main() {
             r.speedup()
         );
     }
-    // The `sim/session_drain` criterion bench scenario: a mixed batch
-    // drained through one warm session vs the same runs standalone.
-    if let Some((standalone_secs, session_secs)) = drain {
-        let _ = writeln!(
-            json,
-            "  \"criterion_sim_session_drain\": {{\"workload\": \"175.vpr\", \
-             \"lanes\": 4, \"standalone_secs\": {:.6}, \"session_secs\": {:.6}, \
-             \"speedup\": {:.3}}},",
-            standalone_secs,
-            session_secs,
-            standalone_secs / session_secs
-        );
-    }
     let _ = writeln!(
         json,
         "  \"lattice_plus_sweep\": {{\"before_secs\": {:.6}, \"after_secs\": {:.6}, \"speedup\": {:.3}}},",
@@ -443,7 +397,7 @@ fn main() {
         before_secs / after_secs
     );
     // Full-profile campaign wall-clock: per-cell tree interpreter
-    // (naive before) vs batched lanes (after), with the per-cell
+    // (naive before) vs the cached campaign (after), with the per-cell
     // decoded time recorded so the dedup-only contribution is visible.
     // The perf gate requires `speedup` >= 2.5x on every PR (an
     // absolute floor calibrated to single-CPU hosts, where the naive

@@ -20,8 +20,9 @@
 //! baseline, which is lenient across runner generations but catches an
 //! accidental return to the naive cycle loop. When the baseline carries
 //! a `campaign_full` row (full-profile campaign wall-clock, naive
-//! per-cell tree vs lane-batched), the fresh run must carry one too and
-//! its measured speedup must stay above an absolute 3x floor.
+//! per-cell tree vs the per-scenario cached campaign), the fresh run
+//! must carry one too and its measured speedup must stay above an
+//! absolute 2.5x floor.
 //!
 //! **Scenario mode** (`--scenarios`) compares campaign reports — the
 //! per-scenario HELIX-RC *speedups* from `generations` rows — against
@@ -65,7 +66,7 @@ const DEFAULT_FRAC_TOLERANCE: f64 = 0.10;
 /// order of magnitude slower means the fast path itself regressed.
 const MEDIAN_FLOOR: f64 = 0.1;
 /// Minimum end-to-end full-profile campaign speedup (naive per-cell
-/// tree execution vs lane-batched decode-once execution) from the
+/// tree execution vs the per-scenario cached campaign) from the
 /// `campaign_full` row. Wall-clock ratios wobble with machine load, so
 /// this is an absolute floor rather than a baseline-relative ratio —
 /// and it is calibrated to the slowest host class we gate on: the
@@ -223,10 +224,10 @@ fn run(baseline_path: &str, fresh_path: &str, tolerance: f64) -> Result<(), Stri
     }
 
     // The full-profile campaign row: once a baseline carries it, every
-    // fresh run must carry it too, and the measured batched-vs-naive
+    // fresh run must carry it too, and the measured cached-vs-naive
     // speedup must clear the absolute floor. This is the end-to-end
-    // guarantee that lane batching keeps paying for itself — a per-pair
-    // throughput gate cannot see a lost decode-dedup.
+    // guarantee that the scenario cache keeps paying for itself — a
+    // per-pair throughput gate cannot see a lost dedup.
     match (
         load_campaign_full(baseline_path)?,
         load_campaign_full(fresh_path)?,

@@ -77,7 +77,7 @@ COMMANDS:
     explore  Property-driven scenario fuzzing: generate --budget valid
              specs from --seed, run each at smoke scale through the
              differential-oracle battery (engine agreement, fast-forward
-             and lane exactness, coverage sums, Amdahl bounds), shrink
+             exactness, coverage sums, Amdahl bounds), shrink
              any failure or frontier extreme to a minimal runnable TOML,
              and emit a deterministic JSON report (same seed + budget =>
              byte-identical). Exit 1 if any oracle fired. See
@@ -114,9 +114,9 @@ OPTIONS:
                        default <campaign>.journal when --resume is given
                        without --journal, <socket>.journal under serve)
     --resume           Answer journaled entries instead of re-running them
-    --lanes N          Batch up to N simulations of a scenario in lockstep
-                       per session, sharing one compile/decode (campaign/
-                       submit; reports are byte-identical to --lanes 1)
+    --lanes N          Accepted for compatibility and ignored: every
+                       campaign shares one compile/decode/run cache per
+                       scenario (N must still be >= 1)
     --attribution      Attach the per-stall-cause cycle breakdown (the
                        Fig. 12 buckets) to every run row in the report
                        (run/smoke/submit-scenario)

@@ -68,11 +68,10 @@ pub struct RunOptions {
     pub resume: bool,
     /// Seeded chaos faults. Local execution only.
     pub faults: Option<FaultPlan>,
-    /// Lane width for batched campaign simulation. `None` (or `<= 1`)
-    /// runs every grid cell standalone; `> 1` batches each scenario's
-    /// cells over a shared decode, stepping up to this many simulations
-    /// in lockstep. Purely an execution knob: reports are byte-identical
-    /// either way. Carried over the wire as the v1 `lanes` field.
+    /// Accepted and ignored: the former lane width of batched campaign
+    /// simulation. Every campaign now shares one cache per scenario,
+    /// whatever this says. Still validated (`>= 1`) and carried over
+    /// the wire as the v1 `lanes` field, so older clients keep working.
     pub lanes: Option<usize>,
     /// Attach the per-stall-cause cycle breakdown (Fig. 12 buckets) to
     /// every scenario run row. Diagnostic output only — deterministic,
@@ -141,7 +140,8 @@ impl RunOptions {
         self
     }
 
-    /// Batch campaign cells `lanes` simulations at a time.
+    /// Set the accepted-but-ignored `lanes` field (see
+    /// [`RunOptions::lanes`]).
     pub fn with_lanes(mut self, lanes: usize) -> RunOptions {
         self.lanes = Some(lanes);
         self
@@ -168,9 +168,6 @@ impl RunOptions {
             journal: self.journal.clone(),
             resume: self.resume,
             faults: self.faults.clone(),
-            lanes: self.lanes.unwrap_or(1),
-            engine: None,
-            fast_forward: true,
         }
     }
 
@@ -394,9 +391,9 @@ pub fn execute(request: Request) -> Response {
     }
 }
 
-/// Reject option values no execution path can honor. `lanes == 0` in
-/// particular used to be silently clamped to 1; it is a usage error
-/// (the CLI rejects it the same way before a request is ever built).
+/// Reject option values no v1 client may send. `lanes == 0` stays a
+/// usage error although `lanes` no longer changes execution (the CLI
+/// rejects it the same way before a request is ever built).
 fn validate_options(options: &RunOptions) -> Result<(), HelixError> {
     if options.lanes == Some(0) {
         return Err(HelixError::usage("lanes must be >= 1"));

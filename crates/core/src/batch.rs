@@ -1,45 +1,53 @@
-//! Per-scenario simulation cache for batched campaigns.
+//! Per-scenario simulation cache: the one batching mechanism.
 //!
 //! A campaign grid simulates one scenario under many overlapping
 //! (compiler, machine, fuel) combinations: every experiment re-runs the
 //! sequential baseline, most share the HCCv3 compile, and several cells
 //! repeat the exact HELIX-RC simulation. A [`SimCache`] — scoped to
-//! **one** workload (one generated program) — memoizes compiles,
-//! decodes, and successful run reports under deterministic string keys,
-//! so a batched campaign performs each distinct unit of work once.
+//! **one** workload (one generated program) — memoizes training
+//! profiles, compiles, decodes, and successful run reports under
+//! deterministic keys, so a campaign performs each distinct unit of
+//! work once. A campaign runs each scenario as one work unit against
+//! its own cache and drops the cache when the unit ends.
 //!
 //! Everything cached is deterministic: a hit returns byte-for-byte the
-//! value a recompute would produce, which is why cached campaign
-//! reports stay byte-identical to uncached ones (pinned by
+//! value a recompute would produce, which is why campaign reports stay
+//! byte-identical to uncached experiment calls (pinned by
 //! `tests/lane_exactness.rs`). Failed simulations are deliberately
 //! *not* cached — [`SimError`](helix_sim::SimError) is not clonable,
 //! and failures must stay visible to the resilient retry layer.
 
 use crate::experiment::ExpError;
-use helix_hcc::{compile, CompiledProgram, HccConfig};
+use helix_hcc::{
+    compile_with_profile, training_profile, CompiledProgram, HccConfig, ProgramProfile,
+};
 use helix_ir::decode::DecodedProgram;
 use helix_ir::Program;
-use helix_sim::{MachinePool, RunReport};
+use helix_sim::RunReport;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Decode-cache key for the original (uncompiled) program.
 pub const SEQ_KEY: &str = "seq";
 
-/// Memoized compile/decode/simulate results for one workload's program.
+/// A training profile computed at most once, or its (deterministic)
+/// failure.
+type ProfileSlot = OnceLock<Result<Arc<ProgramProfile>, ExpError>>;
+
+/// Memoized profile/compile/decode/simulate results for one workload's
+/// program.
 ///
 /// Shareable across threads (`Arc<SimCache>`): all maps sit behind
-/// mutexes, and a race between two threads computing the same key is
-/// benign — both compute the same deterministic value and one insert
-/// wins.
+/// mutexes. A race between two threads computing the same compile,
+/// decode, or report is benign — both compute the same deterministic
+/// value and one insert wins. Training profiles, the costliest shared
+/// stage of a compile, are computed once per key even under races.
 #[derive(Debug, Default)]
 pub struct SimCache {
+    profiles: Mutex<HashMap<u64, Arc<ProfileSlot>>>,
     compiled: Mutex<HashMap<String, Arc<CompiledProgram>>>,
     decoded: Mutex<HashMap<String, Arc<DecodedProgram>>>,
     reports: Mutex<HashMap<String, RunReport>>,
-    /// Retired machines' allocations, recycled across the scenario's
-    /// batches (see [`MachinePool`]).
-    pool: Mutex<MachinePool>,
 }
 
 /// Poison-tolerant lock: a panicking cell (chaos injection, bugs) must
@@ -61,8 +69,27 @@ impl SimCache {
         format!("{cfg:?}")
     }
 
-    /// Compile `program` under `cfg`, memoized. Compilation is
-    /// deterministic, so a concurrent duplicate compute is harmless.
+    /// The training profile of `program` under `fuel` steps, computed
+    /// on first use. The profile depends only on the program and the
+    /// fuel, so every compiler configuration of the scenario shares it.
+    fn profile(&self, program: &Program, fuel: u64) -> Result<Arc<ProgramProfile>, ExpError> {
+        let slot = lock(&self.profiles).entry(fuel).or_default().clone();
+        slot.get_or_init(|| Ok(Arc::new(training_profile(program, fuel)?)))
+            .clone()
+    }
+
+    /// How many training profiles this cache has computed.
+    #[cfg(test)]
+    fn profiles_computed(&self) -> usize {
+        lock(&self.profiles)
+            .values()
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    /// Compile `program` under `cfg`, memoized, against the cached
+    /// training profile. Compilation is deterministic, so a concurrent
+    /// duplicate compute is harmless.
     pub fn compile(
         &self,
         program: &Program,
@@ -72,7 +99,8 @@ impl SimCache {
         if let Some(hit) = lock(&self.compiled).get(&key) {
             return Ok(hit.clone());
         }
-        let computed = Arc::new(compile(program, cfg)?);
+        let profile = self.profile(program, cfg.profile_fuel)?;
+        let computed = Arc::new(compile_with_profile(program, cfg, &profile)?);
         Ok(lock(&self.compiled).entry(key).or_insert(computed).clone())
     }
 
@@ -101,25 +129,12 @@ impl SimCache {
             .entry(key)
             .or_insert_with(|| report.clone());
     }
-
-    /// Take the scenario's machine pool for a batch; the caller hands
-    /// it back (with its newly retired spares) via
-    /// [`SimCache::return_pool`]. Concurrent batches race to take and
-    /// the loser sees an empty pool — benign: it just builds machines
-    /// from scratch, exactly as if the pool were cold.
-    pub fn take_pool(&self) -> MachinePool {
-        std::mem::take(&mut *lock(&self.pool))
-    }
-
-    /// Merge a batch's pool back for the next batch to reuse.
-    pub fn return_pool(&self, pool: MachinePool) {
-        lock(&self.pool).merge(pool);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use helix_hcc::compile;
     use helix_ir::{AddrExpr, ProgramBuilder, Ty};
 
     fn tiny() -> Program {
@@ -143,6 +158,31 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same config must hit");
         let c = cache.compile(&program, &HccConfig::v2(4)).unwrap();
         assert!(!Arc::ptr_eq(&a, &c), "different config must miss");
+    }
+
+    /// Every compiler generation and core count of a scenario compiles
+    /// against one training profile, and the result equals a direct
+    /// compile.
+    #[test]
+    fn one_profile_per_scenario_cache() {
+        let program = tiny();
+        let cache = SimCache::new();
+        for cores in [2, 4, 16] {
+            for cfg in [
+                HccConfig::v1(cores),
+                HccConfig::v2(cores),
+                HccConfig::v3(cores),
+            ] {
+                let cached = cache.compile(&program, &cfg).unwrap();
+                let direct = compile(&program, &cfg).unwrap();
+                assert_eq!(format!("{cached:?}"), format!("{direct:?}"));
+            }
+        }
+        assert_eq!(cache.profiles_computed(), 1);
+        let mut cheap = HccConfig::v3(4);
+        cheap.profile_fuel /= 2;
+        cache.compile(&program, &cheap).unwrap();
+        assert_eq!(cache.profiles_computed(), 2, "the key includes the fuel");
     }
 
     #[test]

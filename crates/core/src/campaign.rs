@@ -3,10 +3,13 @@
 //! and aggregate every cell into a single [`CampaignReport`].
 //!
 //! Each grid cell (scenario × experiment × core count) lowers onto the
-//! corresponding [`crate::experiment`] function, cells execute in
-//! parallel via rayon, and aggregation is stable-ordered: cells are
-//! enumerated deterministically up front and results are collected
-//! positionally, so the report never depends on thread timing. Nothing
+//! corresponding [`crate::experiment`] function. The scenario is the
+//! work unit: one worker runs all of a scenario's cells, then its
+//! derived row, against that scenario's [`SimCache`], and drops the
+//! cache when the unit ends; units run in parallel on the bounded pool.
+//! Aggregation is stable-ordered: cells are enumerated
+//! deterministically up front and results are collected positionally,
+//! so the report never depends on thread timing. Nothing
 //! wall-clock-dependent enters the report, which makes it byte-identical
 //! across runs of the same campaign + seed — the property the
 //! per-scenario CI speedup gate and the determinism tests rely on.
@@ -22,8 +25,7 @@ use crate::resilient::{
     fnv1a, run_cell_resilient, CellFailure, FailureKind, Fault, FaultPlan, Journal, FNV_OFFSET,
 };
 use crate::scenario::nest_rows;
-use helix_hcc::{compile, HccConfig};
-use helix_sim::EngineSel;
+use helix_hcc::HccConfig;
 use helix_workloads::spec::{CompilerGen, CountExpr};
 use helix_workloads::{
     geomean, workload_from_spec, CampaignExperiment, CampaignSpec, ScenarioSpec, Workload,
@@ -506,10 +508,165 @@ fn expand_nest_override(
 
 /// One deterministic grid cell, enumerated before execution.
 #[derive(Debug, Clone, Copy)]
-struct Cell {
-    scenario_ix: usize,
-    experiment: CampaignExperiment,
-    cores: usize,
+pub struct Cell {
+    /// Index into [`LoweredCampaign::workloads`].
+    pub scenario_ix: usize,
+    /// The experiment family the cell runs.
+    pub experiment: CampaignExperiment,
+    /// The cell's core count (the sweep's largest for `core_sweep`).
+    pub cores: usize,
+}
+
+/// A campaign lowered onto its grid, before anything runs.
+#[derive(Debug, Clone)]
+pub struct LoweredCampaign {
+    /// The scenario specs in report order (by name), with the campaign
+    /// seed offset applied and nest overrides expanded.
+    pub scenarios: Vec<ScenarioSpec>,
+    /// The scenarios lowered at the campaign's scale, in the same order.
+    pub workloads: Vec<Workload>,
+    /// The core-count sweep axis of `core_sweep` cells.
+    pub sweep_cores: Vec<usize>,
+    /// Every grid cell, in report row order (experiment-major, then
+    /// core count, then scenario).
+    pub cells: Vec<Cell>,
+}
+
+impl LoweredCampaign {
+    /// Lower `spec` over the given scenario specs.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the spec is invalid, there are no scenarios, or a
+    /// scenario does not lower.
+    pub fn new(spec: &CampaignSpec, scenarios: &[ScenarioSpec]) -> Result<Self, ExpError> {
+        use crate::error::ErrorKind;
+        spec.validate().map_err(ExpError::from)?;
+        if scenarios.is_empty() {
+            return Err(ExpError::new(
+                ErrorKind::Spec,
+                format!("campaign '{}': no scenarios to run", spec.name),
+            ));
+        }
+        // Scenario order is by name regardless of how the caller loaded
+        // them, so reports are comparable across directory layouts.
+        let mut ordered: Vec<&ScenarioSpec> = scenarios.iter().collect();
+        ordered.sort_by(|a, b| a.name.cmp(&b.name));
+        let reseeded: Vec<ScenarioSpec> = ordered
+            .iter()
+            .map(|s| {
+                let mut spec_ = (*s).clone();
+                spec_.seed = spec_.seed.wrapping_add(spec.seed);
+                spec_
+            })
+            .collect();
+        let scenarios = expand_nest_override(spec, reseeded)?;
+        let workloads: Vec<Workload> = scenarios
+            .par_iter()
+            .map(|s| workload_from_spec(s, spec.scale))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| {
+                ExpError::new(ErrorKind::Spec, format!("campaign '{}': {e}", spec.name))
+            })?;
+
+        let grid_cores: Vec<usize> = spec.grid.cores.iter().map(|&c| c as usize).collect();
+        // The core-count sweep has its own axis so `cores` can stay
+        // pinned (e.g. the paper's 16) while the sweep covers 2..16.
+        let sweep_cores: Vec<usize> = if spec.grid.sweep_cores.is_empty() {
+            grid_cores.clone()
+        } else {
+            spec.grid.sweep_cores.iter().map(|&c| c as usize).collect()
+        };
+        let mut cells: Vec<Cell> = Vec::new();
+        for &experiment in &spec.grid.experiments {
+            // The sweep consumes the whole core axis as one cell.
+            let axis = if experiment == CampaignExperiment::CoreSweep {
+                vec![*sweep_cores.iter().max().expect("validated non-empty cores")]
+            } else {
+                grid_cores.clone()
+            };
+            for cores in axis {
+                for scenario_ix in 0..workloads.len() {
+                    cells.push(Cell {
+                        scenario_ix,
+                        experiment,
+                        cores,
+                    });
+                }
+            }
+        }
+        Ok(LoweredCampaign {
+            scenarios,
+            workloads,
+            sweep_cores,
+            cells,
+        })
+    }
+
+    /// Run one cell under `opts`: the cell's [`crate::experiment`] call,
+    /// rendered as its report row. A campaign runs every cell this way,
+    /// with the scenario's cache in `opts`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the experiment call returns.
+    pub fn run_cell(&self, cell: Cell, opts: &ExperimentOptions) -> Result<CampaignRow, ExpError> {
+        let w = &self.workloads[cell.scenario_ix];
+        let mut row = blank_row(w, cell.experiment, cell.cores);
+        match cell.experiment {
+            CampaignExperiment::Generations => {
+                let r = compiler_generations(w, cell.cores, opts)?;
+                row.points = vec![
+                    ("HCCv1".into(), r.v1),
+                    ("HCCv2".into(), r.v2),
+                    ("HELIX-RC".into(), r.helix_rc),
+                ];
+                row.helix_speedup = Some(r.helix_rc);
+                row.paper_speedup = paper_speedup(w);
+                row.seq_cycles = Some(r.seq_cycles);
+                row.helix_cycles = Some(r.helix_cycles);
+            }
+            CampaignExperiment::CoupledVsRing => {
+                let r = coupled_vs_ring(w, cell.cores, opts)?;
+                row.points = vec![
+                    ("C % of seq".into(), r.conventional_pct),
+                    ("R % of seq".into(), r.ring_pct),
+                    ("C comm frac %".into(), 100.0 * r.conventional_comm_frac),
+                    ("R comm frac %".into(), 100.0 * r.ring_comm_frac),
+                ];
+                row.comm_frac = Some(r.ring_comm_frac);
+            }
+            CampaignExperiment::Overheads => {
+                let r = overhead_breakdown(w, cell.cores, opts)?;
+                row.points = vec![("speedup".into(), r.speedup)];
+                row.helix_speedup = Some(r.speedup);
+                row.paper_speedup = paper_speedup(w);
+                row.overheads = Some(r.measured);
+            }
+            CampaignExperiment::Lattice => {
+                let pts = decoupling_lattice(w, cell.cores, opts)?;
+                row.helix_speedup = pts.last().map(|(_, s)| *s);
+                row.points = pts
+                    .into_iter()
+                    .map(|(p, s)| (p.label().to_string(), s))
+                    .collect();
+            }
+            CampaignExperiment::CoreSweep => {
+                row.points = sweep_core_count(w, &self.sweep_cores, opts)?;
+                row.helix_speedup = row.points.last().map(|(_, s)| *s);
+            }
+            CampaignExperiment::RingLatency => {
+                row.points = sweep_ring(w, cell.cores, &link_latency_settings(), opts)?;
+            }
+            CampaignExperiment::RingBandwidth => {
+                row.points = sweep_ring(w, cell.cores, &signal_bandwidth_settings(), opts)?;
+            }
+            CampaignExperiment::RingMemory => {
+                row.points = sweep_ring(w, cell.cores, &node_memory_settings(), opts)?;
+            }
+        }
+        Ok(row)
+    }
 }
 
 fn paper_speedup(w: &Workload) -> Option<f64> {
@@ -530,68 +687,6 @@ fn blank_row(w: &Workload, experiment: CampaignExperiment, cores: usize) -> Camp
         overheads: None,
         points: Vec::new(),
     }
-}
-
-fn run_cell(
-    cell: Cell,
-    sweep_cores: &[usize],
-    w: &Workload,
-    opts: &ExperimentOptions,
-) -> Result<CampaignRow, ExpError> {
-    let mut row = blank_row(w, cell.experiment, cell.cores);
-    match cell.experiment {
-        CampaignExperiment::Generations => {
-            let r = compiler_generations(w, cell.cores, opts)?;
-            row.points = vec![
-                ("HCCv1".into(), r.v1),
-                ("HCCv2".into(), r.v2),
-                ("HELIX-RC".into(), r.helix_rc),
-            ];
-            row.helix_speedup = Some(r.helix_rc);
-            row.paper_speedup = paper_speedup(w);
-            row.seq_cycles = Some(r.seq_cycles);
-            row.helix_cycles = Some(r.helix_cycles);
-        }
-        CampaignExperiment::CoupledVsRing => {
-            let r = coupled_vs_ring(w, cell.cores, opts)?;
-            row.points = vec![
-                ("C % of seq".into(), r.conventional_pct),
-                ("R % of seq".into(), r.ring_pct),
-                ("C comm frac %".into(), 100.0 * r.conventional_comm_frac),
-                ("R comm frac %".into(), 100.0 * r.ring_comm_frac),
-            ];
-            row.comm_frac = Some(r.ring_comm_frac);
-        }
-        CampaignExperiment::Overheads => {
-            let r = overhead_breakdown(w, cell.cores, opts)?;
-            row.points = vec![("speedup".into(), r.speedup)];
-            row.helix_speedup = Some(r.speedup);
-            row.paper_speedup = paper_speedup(w);
-            row.overheads = Some(r.measured);
-        }
-        CampaignExperiment::Lattice => {
-            let pts = decoupling_lattice(w, cell.cores, opts)?;
-            row.helix_speedup = pts.last().map(|(_, s)| *s);
-            row.points = pts
-                .into_iter()
-                .map(|(p, s)| (p.label().to_string(), s))
-                .collect();
-        }
-        CampaignExperiment::CoreSweep => {
-            row.points = sweep_core_count(w, sweep_cores, opts)?;
-            row.helix_speedup = row.points.last().map(|(_, s)| *s);
-        }
-        CampaignExperiment::RingLatency => {
-            row.points = sweep_ring(w, cell.cores, &link_latency_settings(), opts)?;
-        }
-        CampaignExperiment::RingBandwidth => {
-            row.points = sweep_ring(w, cell.cores, &signal_bandwidth_settings(), opts)?;
-        }
-        CampaignExperiment::RingMemory => {
-            row.points = sweep_ring(w, cell.cores, &node_memory_settings(), opts)?;
-        }
-    }
-    Ok(row)
 }
 
 /// Journal cell-file encoding of one [`CampaignRow`]. Floats are stored
@@ -712,15 +807,13 @@ pub fn load_campaign(path: &Path) -> Result<(CampaignSpec, Vec<ScenarioSpec>), E
 }
 
 /// Execution-layer options for [`run_campaign_with`]: journaling,
-/// resume, chaos injection, and lane-parallel batching. The default
-/// (no journal, no resume, no faults, single-lane) reproduces the
-/// plain in-memory behaviour of [`run_campaign`].
+/// resume, and chaos injection. The default (no journal, no resume, no
+/// faults) reproduces the plain in-memory behaviour of
+/// [`run_campaign`].
 ///
-/// None of these options affect report *content* — a batched run is
-/// byte-identical to a single-lane one (pinned by
-/// `tests/lane_exactness.rs`); they only change how the work is
-/// executed.
-#[derive(Debug, Clone)]
+/// None of these options affect report *content*; they only change how
+/// the work is executed.
+#[derive(Debug, Clone, Default)]
 pub struct CampaignRunOptions {
     /// Journal completed cells under this directory (one content-keyed
     /// file per cell; see [`Journal`]).
@@ -729,39 +822,10 @@ pub struct CampaignRunOptions {
     /// `journal`.
     pub resume: bool,
     /// Seeded chaos: inject faults into a deterministic subset of
-    /// cells.
+    /// cells. Fault-injected cells run without the scenario's shared
+    /// cache, so a panicking cell can neither seed nor poison state
+    /// its neighbours consume.
     pub faults: Option<FaultPlan>,
-    /// Lane width for batched simulation. `<= 1` (the default) runs
-    /// every cell standalone, exactly as before lanes existed. `> 1`
-    /// shares one [`SimCache`] across each scenario's cells — compiles,
-    /// decodes, and duplicated runs (sequential baselines above all)
-    /// happen once — and steps up to this many simulations of a
-    /// scenario in lockstep per [`helix_sim::SimSession`] batch.
-    /// Fault-injected cells always run single-lane without the shared
-    /// cache, preserving per-cell failure isolation.
-    pub lanes: usize,
-    /// Engine override for every cell. `None` picks
-    /// [`EngineSel::Batched`] when `lanes > 1` and the decoded default
-    /// otherwise; the bench harness pins [`EngineSel::Tree`] here to
-    /// time the naive per-cell baseline.
-    pub engine: Option<EngineSel>,
-    /// Event-skipping fast-forward (on by default). The bench harness
-    /// disables it to time the naive one-cycle-at-a-time loop as the
-    /// pre-optimization "before"; reports stay byte-identical.
-    pub fast_forward: bool,
-}
-
-impl Default for CampaignRunOptions {
-    fn default() -> CampaignRunOptions {
-        CampaignRunOptions {
-            journal: None,
-            resume: false,
-            faults: None,
-            lanes: 1,
-            engine: None,
-            fast_forward: true,
-        }
-    }
 }
 
 /// Execution counters of one campaign run: how many grid cells were
@@ -843,71 +907,8 @@ pub fn run_campaign_stats(
     scenarios: &[ScenarioSpec],
     options: &CampaignRunOptions,
 ) -> Result<(CampaignReport, CampaignRunStats), ExpError> {
-    use crate::error::ErrorKind;
-    spec.validate().map_err(ExpError::from)?;
-    if scenarios.is_empty() {
-        return Err(ExpError::new(
-            ErrorKind::Spec,
-            format!("campaign '{}': no scenarios to run", spec.name),
-        ));
-    }
-    // Scenario order is by name regardless of how the caller loaded
-    // them, so reports are comparable across directory layouts.
-    let mut ordered: Vec<&ScenarioSpec> = scenarios.iter().collect();
-    ordered.sort_by(|a, b| a.name.cmp(&b.name));
-    let reseeded: Vec<ScenarioSpec> = ordered
-        .iter()
-        .map(|s| {
-            let mut spec_ = (*s).clone();
-            spec_.seed = spec_.seed.wrapping_add(spec.seed);
-            spec_
-        })
-        .collect();
-    let reseeded = expand_nest_override(spec, reseeded)?;
-
-    let workloads: Vec<Workload> = reseeded
-        .par_iter()
-        .map(|s| workload_from_spec(s, spec.scale))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| {
-            ExpError::new(
-                crate::error::ErrorKind::Spec,
-                format!("campaign '{}': {e}", spec.name),
-            )
-        })?;
-
-    let grid_cores: Vec<usize> = spec.grid.cores.iter().map(|&c| c as usize).collect();
-    // The core-count sweep has its own axis so `cores` can stay pinned
-    // (e.g. the paper's 16) while the sweep covers 2..16.
-    let sweep_cores: Vec<usize> = if spec.grid.sweep_cores.is_empty() {
-        grid_cores.clone()
-    } else {
-        spec.grid.sweep_cores.iter().map(|&c| c as usize).collect()
-    };
-    let mut cells: Vec<Cell> = Vec::new();
-    for &experiment in &spec.grid.experiments {
-        if experiment == CampaignExperiment::CoreSweep {
-            // The sweep consumes the whole core axis as one cell.
-            let cores = *sweep_cores.iter().max().expect("validated non-empty cores");
-            for scenario_ix in 0..workloads.len() {
-                cells.push(Cell {
-                    scenario_ix,
-                    experiment,
-                    cores,
-                });
-            }
-        } else {
-            for &cores in &grid_cores {
-                for scenario_ix in 0..workloads.len() {
-                    cells.push(Cell {
-                        scenario_ix,
-                        experiment,
-                        cores,
-                    });
-                }
-            }
-        }
-    }
+    let lowered = LoweredCampaign::new(spec, scenarios)?;
+    let (reseeded, workloads, cells) = (&lowered.scenarios, &lowered.workloads, &lowered.cells);
 
     let journal = match &options.journal {
         Some(dir) => Some(Journal::open(dir)?),
@@ -953,7 +954,7 @@ pub fn run_campaign_stats(
             h = fnv1a(h, &fuel.to_le_bytes());
             h = fnv1a(h, keys[ix].as_bytes());
             if c.experiment == CampaignExperiment::CoreSweep {
-                for &sc in &sweep_cores {
+                for &sc in &lowered.sweep_cores {
                     h = fnv1a(h, &(sc as u64).to_le_bytes());
                 }
             }
@@ -972,97 +973,101 @@ pub fn run_campaign_stats(
         .map(|p| (p.stall_ms, p.transient))
         .unwrap_or((0, false));
 
-    // Lane-parallel batching: with `lanes > 1` every scenario gets one
-    // shared SimCache (compile/decode/report dedup across its cells)
-    // and cells run under the batched engine. Cached values are
-    // deterministic, so the report stays byte-identical to a
-    // single-lane run.
-    let lanes = options.lanes.max(1);
-    let engine = options.engine.unwrap_or(if lanes > 1 {
-        EngineSel::Batched
-    } else {
-        EngineSel::Decoded
-    });
-    let mut base_opts = ExperimentOptions::default()
-        .with_engine(engine)
-        .with_lanes(lanes);
-    base_opts.fast_forward = options.fast_forward;
-    let caches: Vec<Option<Arc<SimCache>>> = workloads
-        .iter()
-        .map(|_| (lanes > 1).then(|| Arc::new(SimCache::new())))
-        .collect();
+    let derive = Derive::new(
+        spec,
+        fuel,
+        journal.as_ref().filter(|_| options.faults.is_none()),
+        options.resume,
+    );
 
-    enum CellOutcome {
-        /// A completed row, and whether it came from the journal.
-        Row(Box<CampaignRow>, bool),
-        Failed(CellFailure),
+    // The scenario is the work unit: its cells in grid order, then its
+    // derived row, all against one cache that dies with the unit.
+    let mut unit_cells: Vec<Vec<usize>> = vec![Vec::new(); workloads.len()];
+    for (ix, cell) in cells.iter().enumerate() {
+        unit_cells[cell.scenario_ix].push(ix);
     }
-    let ixs: Vec<usize> = (0..cells.len()).collect();
-    let outcomes: Vec<CellOutcome> = ixs
+    let units: Vec<usize> = (0..workloads.len()).collect();
+    let unit_outcomes: Vec<(Vec<CellOutcome>, DerivedOutcome)> = units
         .par_iter()
-        .map(|&ix| {
-            let cell = cells[ix];
-            let w = &workloads[cell.scenario_ix];
-            if options.resume {
-                if let Some(row) = journal
-                    .as_ref()
-                    .and_then(|j| j.load(digests[ix]))
-                    .and_then(|text| decode_row(&text))
-                {
-                    return CellOutcome::Row(Box::new(row), true);
-                }
-            }
-            // Fault-injected cells run single-lane without the shared
-            // cache: a cell that panics or stalls mid-simulation must
-            // not seed (or poison) state other cells consume.
-            let cell_opts = match (faults[ix], &caches[cell.scenario_ix]) {
-                (None, Some(cache)) => base_opts.clone().with_cache(cache.clone()),
-                (Some(_), _) => base_opts.clone().with_lanes(1),
-                (None, None) => base_opts.clone(),
-            };
-            let result = run_cell_resilient(
-                |cell_fuel| {
-                    run_cell(
-                        cell,
-                        &sweep_cores,
-                        w,
-                        &cell_opts.clone().with_fuel(cell_fuel),
-                    )
-                },
-                fuel,
-                &spec.resilience,
-                faults[ix],
-                stall_ms,
-                transient_faults,
-            );
-            match result {
-                Ok(row) => {
-                    if let Some(j) = &journal {
-                        // Journal errors are not worth failing the cell
-                        // over; the run still completes in memory.
-                        let _ = j.store(digests[ix], &encode_row(&row));
+        .map(|&scenario_ix| {
+            let w = &workloads[scenario_ix];
+            let cache = Arc::new(SimCache::new());
+            #[cfg(test)]
+            tests::note_unit_cache(&spec.name, &cache);
+            let outcomes: Vec<CellOutcome> = unit_cells[scenario_ix]
+                .iter()
+                .map(|&ix| {
+                    let cell = cells[ix];
+                    if options.resume {
+                        if let Some(row) = journal
+                            .as_ref()
+                            .and_then(|j| j.load(digests[ix]))
+                            .and_then(|text| decode_row(&text))
+                        {
+                            return CellOutcome::Row(Box::new(row), true);
+                        }
                     }
-                    CellOutcome::Row(Box::new(row), false)
-                }
-                Err((kind, message, retries)) => CellOutcome::Failed(CellFailure {
-                    scenario: w.name.clone(),
-                    experiment: cell.experiment.render().to_string(),
-                    cores: cell.cores,
-                    kind,
-                    retries,
-                    message,
-                }),
-            }
+                    // A fault-injected cell that panics or stalls
+                    // mid-simulation must not seed (or poison) state
+                    // its neighbours consume.
+                    let cell_opts = match faults[ix] {
+                        None => ExperimentOptions::default().with_cache(cache.clone()),
+                        Some(_) => ExperimentOptions::default(),
+                    };
+                    let result = run_cell_resilient(
+                        |cell_fuel| lowered.run_cell(cell, &cell_opts.clone().with_fuel(cell_fuel)),
+                        fuel,
+                        &spec.resilience,
+                        faults[ix],
+                        stall_ms,
+                        transient_faults,
+                    );
+                    match result {
+                        Ok(row) => {
+                            if let Some(j) = &journal {
+                                // Journal errors are not worth failing the
+                                // cell over; the run still completes in
+                                // memory.
+                                let _ = j.store(digests[ix], &encode_row(&row));
+                            }
+                            CellOutcome::Row(Box::new(row), false)
+                        }
+                        Err((kind, message, retries)) => CellOutcome::Failed(CellFailure {
+                            scenario: w.name.clone(),
+                            experiment: cell.experiment.render().to_string(),
+                            cores: cell.cores,
+                            kind,
+                            retries,
+                            message,
+                        }),
+                    }
+                })
+                .collect();
+            let rows = outcomes.iter().filter_map(|o| match o {
+                CellOutcome::Row(row, _) => Some(&**row),
+                CellOutcome::Failed(_) => None,
+            });
+            let derived = derive.row(&reseeded[scenario_ix], w, rows, &cache);
+            (outcomes, derived)
         })
         .collect();
 
+    // Back to grid order for the report.
+    let mut slots: Vec<Option<CellOutcome>> = cells.iter().map(|_| None).collect();
+    let mut derived_outcomes = Vec::with_capacity(workloads.len());
+    for ((outcomes, derived), ixs) in unit_outcomes.into_iter().zip(&unit_cells) {
+        for (outcome, &ix) in outcomes.into_iter().zip(ixs) {
+            slots[ix] = Some(outcome);
+        }
+        derived_outcomes.push(derived);
+    }
     let mut stats = CampaignRunStats {
         cells: cells.len(),
         ..CampaignRunStats::default()
     };
     let mut rows: Vec<CampaignRow> = Vec::new();
     let mut failures: Vec<CellFailure> = Vec::new();
-    for outcome in outcomes {
+    for outcome in slots.into_iter().map(|o| o.expect("every cell ran")) {
         match outcome {
             CellOutcome::Row(row, hit) => {
                 if hit {
@@ -1078,17 +1083,28 @@ pub fn run_campaign_stats(
             }
         }
     }
-
-    let derived = derive_rows(
-        spec,
-        &reseeded,
-        &workloads,
-        &rows,
-        &mut failures,
-        journal.as_ref().filter(|_| options.faults.is_none()),
-        options.resume,
-        &mut stats,
-    );
+    let mut derived = Vec::new();
+    for (result, w) in derived_outcomes.into_iter().zip(workloads) {
+        match result {
+            Ok(Some((row, hit))) => {
+                if hit {
+                    stats.derived_hits += 1;
+                } else {
+                    stats.derived_computed += 1;
+                }
+                derived.push(row);
+            }
+            Ok(None) => {}
+            Err((kind, message)) => failures.push(CellFailure {
+                scenario: w.name.clone(),
+                experiment: "derived".to_string(),
+                cores: derive.cores,
+                kind,
+                retries: 0,
+                message,
+            }),
+        }
+    }
 
     let report = CampaignReport {
         name: spec.name.clone(),
@@ -1179,11 +1195,18 @@ fn decode_derived(text: &str) -> Option<DerivedRow> {
     (!d.scenario.is_empty() && d.cores > 0).then_some(d)
 }
 
+/// One grid cell's outcome.
+enum CellOutcome {
+    /// A completed row, and whether it came from the journal.
+    Row(Box<CampaignRow>, bool),
+    Failed(CellFailure),
+}
+
 /// One derived-row attempt: a journaled-or-computed row (with its
 /// journal-hit flag), a skip, or a classified failure.
 type DerivedOutcome = Result<Option<(DerivedRow, bool)>, (FailureKind, String)>;
 
-/// Compute the derived speedup-vs-coverage metrics: one row per
+/// The derived speedup-vs-coverage metrics of a campaign: one row per
 /// scenario, anchored on its `generations` measurement at the largest
 /// grid core count, plus per-nest breakdowns for multi-nest scenarios
 /// (in-context weights via prefix differencing, per-nest speedups from
@@ -1192,154 +1215,146 @@ type DerivedOutcome = Result<Option<(DerivedRow, bool)>, (FailureKind, String)>;
 /// are stored content-addressed (like grid cells) and answered from the
 /// journal on resume, so a fully-journaled campaign derives without
 /// simulating.
-#[allow(clippy::too_many_arguments)]
-fn derive_rows(
-    spec: &CampaignSpec,
-    reseeded: &[ScenarioSpec],
-    workloads: &[Workload],
-    rows: &[CampaignRow],
-    failures: &mut Vec<CellFailure>,
-    journal: Option<&Journal>,
+struct Derive<'a> {
+    spec: &'a CampaignSpec,
+    /// Whether the grid has a `generations` anchor at all.
+    enabled: bool,
+    cores: usize,
+    fuel: u64,
+    journal: Option<&'a Journal>,
     resume: bool,
-    stats: &mut CampaignRunStats,
-) -> Vec<DerivedRow> {
-    if !spec
-        .grid
-        .experiments
-        .contains(&CampaignExperiment::Generations)
-    {
-        return Vec::new();
-    }
-    let cores = *spec.grid.cores.iter().max().expect("validated non-empty") as usize;
-    let fuel = if spec.resilience.cycle_budget > 0 {
-        spec.resilience.cycle_budget as u64
-    } else {
-        FUEL
-    };
-    // Same digest recipe as grid cells, under a reserved "derived"
-    // pseudo-experiment name so the two namespaces cannot collide.
-    let digests: Vec<u64> = reseeded
-        .iter()
-        .map(|scenario| {
-            let mut h = fnv1a(FNV_OFFSET, env!("CARGO_PKG_VERSION").as_bytes());
-            h = fnv1a(h, format!("{:?}", spec.scale).as_bytes());
-            h = fnv1a(h, &fuel.to_le_bytes());
-            h = fnv1a(h, format!("{}/derived@{cores}", scenario.name).as_bytes());
-            fnv1a(h, scenario.to_toml().as_bytes())
-        })
-        .collect();
-    // The vendored rayon subset has no `zip`; index instead.
-    let ixs: Vec<usize> = (0..reseeded.len()).collect();
-    let results: Vec<DerivedOutcome> = ixs
-        .par_iter()
-        .map(|&ix| {
-            let (scenario, w) = (&reseeded[ix], &workloads[ix]);
-            if resume {
-                if let Some(row) = journal
-                    .and_then(|j| j.load(digests[ix]))
-                    .and_then(|text| decode_derived(&text))
-                {
-                    return Ok(Some((row, true)));
-                }
-            }
-            // A scenario whose generations cell failed has no anchor
-            // for derivation; the cell failure is already recorded, so
-            // just skip the derived row.
-            let Some((speedup, seq_cycles)) = rows
-                .iter()
-                .find(|r| r.scenario == w.name && r.experiment == "generations" && r.cores == cores)
-                .and_then(|r| Some((r.helix_speedup?, r.seq_cycles?)))
-            else {
-                return Ok(None);
-            };
-            let body = || -> Result<DerivedRow, ExpError> {
-                let compiled = compile(&w.program, &HccConfig::v3(cores as u32))?;
-                let coverage = compiled.stats.coverage.clamp(0.0, 1.0);
-                let amdahl_bound = 1.0 / ((1.0 - coverage) + coverage / cores as f64);
-                // Everything in a derived row is v3-anchored (the headline
-                // speedup is the generations experiment's HELIX-RC run and
-                // program_coverage comes from the v3 compile above), so the
-                // isolated nests compile with v3 too, regardless of the
-                // scenario's own `run.compiler`.
-                let nests = nest_rows(
-                    scenario,
-                    spec.scale,
-                    cores,
-                    fuel,
-                    Some(seq_cycles),
-                    CompilerGen::V3,
-                )?
-                .into_iter()
-                .zip(&w.nests)
-                .map(|(row, boundary)| {
-                    let (program_coverage, _) =
-                        compiled.coverage_in_blocks(boundary.first_block, boundary.end_block);
-                    DerivedNestRow {
-                        name: row.name,
-                        weight: row.weight,
-                        glue_weight: row.glue_weight,
-                        coverage: row.coverage,
-                        program_coverage,
-                        plans: row.plans,
-                        speedup: row.speedup,
-                    }
-                })
-                .collect();
-                Ok(DerivedRow {
-                    scenario: w.name.clone(),
-                    kind: w.kind.render().into(),
-                    cores,
-                    coverage,
-                    speedup,
-                    amdahl_bound,
-                    bound_frac: speedup / amdahl_bound,
-                    nests,
-                })
-            };
-            // Derivation failures degrade like cell failures instead of
-            // poisoning the report.
-            match catch_unwind(AssertUnwindSafe(body)) {
-                Ok(Ok(row)) => {
-                    if let Some(j) = journal {
-                        let _ = j.store(digests[ix], &encode_derived(&row));
-                    }
-                    Ok(Some((row, false)))
-                }
-                Ok(Err(e)) => Err((FailureKind::Error, e.to_string())),
-                Err(payload) => {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "panic with non-string payload".into());
-                    Err((FailureKind::Panic, message))
-                }
-            }
-        })
-        .collect();
-    let mut derived = Vec::new();
-    for (ix, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(Some((row, hit))) => {
-                if hit {
-                    stats.derived_hits += 1;
-                } else {
-                    stats.derived_computed += 1;
-                }
-                derived.push(row);
-            }
-            Ok(None) => {}
-            Err((kind, message)) => failures.push(CellFailure {
-                scenario: workloads[ix].name.clone(),
-                experiment: "derived".to_string(),
-                cores,
-                kind,
-                retries: 0,
-                message,
-            }),
+}
+
+impl<'a> Derive<'a> {
+    fn new(
+        spec: &'a CampaignSpec,
+        fuel: u64,
+        journal: Option<&'a Journal>,
+        resume: bool,
+    ) -> Derive<'a> {
+        Derive {
+            spec,
+            enabled: spec
+                .grid
+                .experiments
+                .contains(&CampaignExperiment::Generations),
+            cores: *spec.grid.cores.iter().max().expect("validated non-empty") as usize,
+            fuel,
+            journal,
+            resume,
         }
     }
-    derived
+
+    /// Journal digest of a scenario's derived row: the grid-cell recipe
+    /// under a reserved "derived" pseudo-experiment name, so the two
+    /// namespaces cannot collide.
+    fn digest(&self, scenario: &ScenarioSpec) -> u64 {
+        let mut h = fnv1a(FNV_OFFSET, env!("CARGO_PKG_VERSION").as_bytes());
+        h = fnv1a(h, format!("{:?}", self.spec.scale).as_bytes());
+        h = fnv1a(h, &self.fuel.to_le_bytes());
+        h = fnv1a(
+            h,
+            format!("{}/derived@{}", scenario.name, self.cores).as_bytes(),
+        );
+        fnv1a(h, scenario.to_toml().as_bytes())
+    }
+
+    /// The derived row of one scenario, given its completed grid rows.
+    /// The v3 compile goes through the scenario's cache.
+    fn row<'r>(
+        &self,
+        scenario: &ScenarioSpec,
+        w: &Workload,
+        mut rows: impl Iterator<Item = &'r CampaignRow>,
+        cache: &SimCache,
+    ) -> DerivedOutcome {
+        if !self.enabled {
+            return Ok(None);
+        }
+        let cores = self.cores;
+        let digest = self.digest(scenario);
+        if self.resume {
+            if let Some(row) = self
+                .journal
+                .and_then(|j| j.load(digest))
+                .and_then(|text| decode_derived(&text))
+            {
+                return Ok(Some((row, true)));
+            }
+        }
+        // A scenario whose generations cell failed has no anchor for
+        // derivation; the cell failure is already recorded, so just
+        // skip the derived row.
+        let Some((speedup, seq_cycles)) = rows
+            .find(|r| r.experiment == "generations" && r.cores == cores)
+            .and_then(|r| Some((r.helix_speedup?, r.seq_cycles?)))
+        else {
+            return Ok(None);
+        };
+        let body = || -> Result<DerivedRow, ExpError> {
+            let compiled = cache.compile(&w.program, &HccConfig::v3(cores as u32))?;
+            let coverage = compiled.stats.coverage.clamp(0.0, 1.0);
+            let amdahl_bound = 1.0 / ((1.0 - coverage) + coverage / cores as f64);
+            // Everything in a derived row is v3-anchored (the headline
+            // speedup is the generations experiment's HELIX-RC run and
+            // program_coverage comes from the v3 compile above), so the
+            // isolated nests compile with v3 too, regardless of the
+            // scenario's own `run.compiler`.
+            let nests = nest_rows(
+                scenario,
+                self.spec.scale,
+                cores,
+                self.fuel,
+                Some(seq_cycles),
+                CompilerGen::V3,
+            )?
+            .into_iter()
+            .zip(&w.nests)
+            .map(|(row, boundary)| {
+                let (program_coverage, _) =
+                    compiled.coverage_in_blocks(boundary.first_block, boundary.end_block);
+                DerivedNestRow {
+                    name: row.name,
+                    weight: row.weight,
+                    glue_weight: row.glue_weight,
+                    coverage: row.coverage,
+                    program_coverage,
+                    plans: row.plans,
+                    speedup: row.speedup,
+                }
+            })
+            .collect();
+            Ok(DerivedRow {
+                scenario: w.name.clone(),
+                kind: w.kind.render().into(),
+                cores,
+                coverage,
+                speedup,
+                amdahl_bound,
+                bound_frac: speedup / amdahl_bound,
+                nests,
+            })
+        };
+        // Derivation failures degrade like cell failures instead of
+        // poisoning the report.
+        match catch_unwind(AssertUnwindSafe(body)) {
+            Ok(Ok(row)) => {
+                if let Some(j) = self.journal {
+                    let _ = j.store(digest, &encode_derived(&row));
+                }
+                Ok(Some((row, false)))
+            }
+            Ok(Err(e)) => Err((FailureKind::Error, e.to_string())),
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "panic with non-string payload".into());
+                Err((FailureKind::Panic, message))
+            }
+        }
+    }
 }
 
 /// Load and run a campaign file in one call.
@@ -1374,6 +1389,51 @@ mod tests {
             resilience: Default::default(),
         };
         (spec, vec![builtin_spec("175.vpr").unwrap()])
+    }
+
+    /// Every scenario cache a campaign made, by campaign name, with how
+    /// many of that campaign's caches were alive (itself included) when
+    /// it was made.
+    static UNIT_CACHES: std::sync::Mutex<Vec<(String, std::sync::Weak<SimCache>, usize)>> =
+        std::sync::Mutex::new(Vec::new());
+
+    pub(super) fn note_unit_cache(campaign: &str, cache: &Arc<SimCache>) {
+        let mut seen = UNIT_CACHES.lock().unwrap_or_else(|p| p.into_inner());
+        let live = seen
+            .iter()
+            .filter(|(name, weak, _)| name == campaign && weak.strong_count() > 0)
+            .count();
+        seen.push((campaign.to_string(), Arc::downgrade(cache), live + 1));
+    }
+
+    /// A scenario's cache dies with its work unit: no more caches are
+    /// ever alive than there are workers, and none outlives the run.
+    #[test]
+    fn scenario_cache_is_released_when_its_unit_ends() {
+        let (mut spec, _) = tiny_campaign(vec![CampaignExperiment::Overheads]);
+        spec.name = "cache-release-probe".into();
+        let scenarios: Vec<ScenarioSpec> = ["164.gzip", "175.vpr", "181.mcf", "300.twolf"]
+            .iter()
+            .map(|name| builtin_spec(name).unwrap())
+            .collect();
+        run_campaign(&spec, &scenarios).unwrap();
+        let seen = UNIT_CACHES.lock().unwrap_or_else(|p| p.into_inner());
+        let ours: Vec<_> = seen
+            .iter()
+            .filter(|(name, ..)| *name == spec.name)
+            .collect();
+        assert_eq!(ours.len(), scenarios.len(), "one cache per scenario");
+        for (_, weak, live) in ours {
+            assert!(
+                weak.upgrade().is_none(),
+                "a scenario cache outlived the run"
+            );
+            assert!(
+                *live <= rayon::current_num_threads(),
+                "{live} caches alive at once on {} workers",
+                rayon::current_num_threads()
+            );
+        }
     }
 
     /// Grid lowering: a generations cell must reproduce the exact

@@ -7,8 +7,7 @@ use helix_hcc::{CompiledProgram, HccConfig, LoopPlan};
 use helix_ir::Program;
 use helix_ring_cache::{ArrayConfig, RingConfig};
 use helix_sim::{
-    Bucket, CoreModel, DecoupleConfig, EngineSel, Machine, MachineConfig, RunReport, SimSession,
-    SyncModel,
+    Bucket, CoreModel, DecoupleConfig, EngineSel, Machine, MachineConfig, RunReport, SyncModel,
 };
 use helix_workloads::Workload;
 use rayon::prelude::*;
@@ -22,20 +21,15 @@ pub const FUEL: u64 = 1 << 27;
 /// the one knob set that used to be the `*_with_fuel` variant sprawl.
 ///
 /// [`ExperimentOptions::default`] reproduces the historical defaults
-/// (the [`FUEL`] budget, the decoded engine, single-lane execution, no
-/// cache), so `&ExperimentOptions::default()` is a drop-in for the old
-/// short-form calls.
+/// (the [`FUEL`] budget, the decoded engine, no cache), so
+/// `&ExperimentOptions::default()` is a drop-in for the old short-form
+/// calls.
 #[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Cycle budget per simulation.
     pub fuel: u64,
     /// Execution engine every simulation in the experiment runs under.
     pub engine: EngineSel,
-    /// Lane width for batched execution: with
-    /// [`EngineSel::Batched`], up to this many simulations of the same
-    /// program step in lockstep per [`SimSession`] batch. Ignored (and
-    /// harmless) under the other engines.
-    pub lanes: usize,
     /// Per-scenario memo for compiles, decodes, and run reports.
     /// Campaigns share one cache across every cell of a scenario so
     /// overlapping work — sequential baselines, HCCv3 compiles,
@@ -55,7 +49,6 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             fuel: FUEL,
             engine: EngineSel::Decoded,
-            lanes: 1,
             cache: None,
             fast_forward: true,
         }
@@ -72,12 +65,6 @@ impl ExperimentOptions {
     /// The same options under a different execution engine.
     pub fn with_engine(mut self, engine: EngineSel) -> ExperimentOptions {
         self.engine = engine;
-        self
-    }
-
-    /// The same options with a different lane width.
-    pub fn with_lanes(mut self, lanes: usize) -> ExperimentOptions {
-        self.lanes = lanes;
         self
     }
 
@@ -108,14 +95,10 @@ impl ExperimentOptions {
 }
 
 /// Run `cfgs` over one (program, plans) pair under `opts`: engine
-/// selection applied uniformly, report memoization through the cache,
-/// and — under [`EngineSel::Batched`] — cache misses stepped in
-/// lockstep as lanes of one [`SimSession`] (in batches of `opts.lanes`)
-/// over a single shared decode. `decode_key` identifies the program in
-/// the cache ([`SEQ_KEY`] or a compile key).
-///
-/// Every path produces bit-identical reports; they differ only in how
-/// much work is shared.
+/// selection applied uniformly, and — with a cache — report
+/// memoization plus one shared decode per program. `decode_key`
+/// identifies the program in the cache ([`SEQ_KEY`] or a compile key).
+/// Cache misses run in parallel; results are bit-identical either way.
 fn run_batch(
     opts: &ExperimentOptions,
     decode_key: &str,
@@ -146,58 +129,22 @@ fn run_batch(
         (Some(cache), true) => Some(cache.decoded(decode_key, program)),
         _ => None,
     };
-    if opts.engine == EngineSel::Batched && misses.len() > 1 {
-        // Event-cooperative lanes over one shared decode, `opts.lanes`
-        // at a time, on a single session: machines retired by one chunk
-        // are recycled by the next, and the scenario cache carries the
-        // pool across batches (returned before any error propagates).
-        let mut session = match &decoded {
-            Some(d) => SimSession::with_decoded(program, plans, d.clone()),
-            None => SimSession::new(program, plans),
-        };
+    let computed: Vec<Result<RunReport, ExpError>> = misses
+        .par_iter()
+        .map(|&ix| {
+            let mut machine = match &decoded {
+                Some(d) => Machine::with_decoded(program, plans, cfgs[ix].clone(), d.clone()),
+                None => Machine::new(program, plans, cfgs[ix].clone()),
+            };
+            Ok(machine.run(opts.fuel)?)
+        })
+        .collect();
+    for (report, &ix) in computed.into_iter().zip(&misses) {
+        let report = report?;
         if let Some(cache) = &opts.cache {
-            session.set_pool(cache.take_pool());
+            cache.store_report(keys[ix].clone(), &report);
         }
-        let mut outcome: Result<(), ExpError> = Ok(());
-        'chunks: for chunk in misses.chunks(opts.lanes.max(1)) {
-            for &ix in chunk {
-                session.enqueue(cfgs[ix].clone(), opts.fuel);
-            }
-            for (lane, &ix) in session.drain().into_iter().zip(chunk) {
-                match lane.result {
-                    Ok(report) => results[ix] = Some(report),
-                    Err(e) => {
-                        outcome = Err(e.into());
-                        break 'chunks;
-                    }
-                }
-            }
-        }
-        if let Some(cache) = &opts.cache {
-            cache.return_pool(session.take_pool());
-        }
-        outcome?;
-    } else {
-        let computed: Vec<Result<RunReport, ExpError>> = misses
-            .par_iter()
-            .map(|&ix| {
-                let mut machine = match &decoded {
-                    Some(d) => Machine::with_decoded(program, plans, cfgs[ix].clone(), d.clone()),
-                    None => Machine::new(program, plans, cfgs[ix].clone()),
-                };
-                Ok(machine.run(opts.fuel)?)
-            })
-            .collect();
-        for (report, &ix) in computed.into_iter().zip(&misses) {
-            results[ix] = Some(report?);
-        }
-    }
-    if let Some(cache) = &opts.cache {
-        for &ix in &misses {
-            if let Some(report) = &results[ix] {
-                cache.store_report(keys[ix].clone(), report);
-            }
-        }
+        results[ix] = Some(report);
     }
     Ok(results
         .into_iter()
@@ -426,8 +373,7 @@ impl LatticePoint {
 /// Speedups across the decoupling lattice for one workload (Fig. 8).
 /// The five lattice points compile at most twice (HCCv2 for the
 /// baseline bar, HCCv3 for the rest), and the four HCCv3 points run as
-/// one batch over a shared program — lockstep lanes under
-/// [`EngineSel::Batched`].
+/// one batch over a shared program.
 pub fn decoupling_lattice(
     w: &Workload,
     cores: usize,
@@ -539,7 +485,7 @@ pub fn coupled_vs_ring(
     opts: &ExperimentOptions,
 ) -> Result<CoupledVsRing, ExpError> {
     // HCCv3 selects loops assuming decoupling exists (ring-class sync
-    // cost), then the code runs on both machines — one two-lane batch
+    // cost), then the code runs on both machines — one two-config batch
     // over the shared compile.
     let hcc = HccConfig::v3(cores as u32);
     let compiled = opts.compile(&w.program, &hcc)?;
@@ -554,8 +500,8 @@ pub fn coupled_vs_ring(
             MachineConfig::helix_rc(cores),
         ],
     )?;
-    let ring = reports.pop().expect("two lanes");
-    let conv = reports.pop().expect("two lanes");
+    let ring = reports.pop().expect("two configs");
+    let conv = reports.pop().expect("two configs");
     check(&conv, "conventional")?;
     check(&ring, "ring")?;
     Ok(CoupledVsRing {
@@ -661,7 +607,7 @@ pub fn sweep_core_count(
                 vec![MachineConfig::helix_rc(cores)],
             )?
             .pop()
-            .expect("one lane in, one report out");
+            .expect("one config in, one report out");
             check(&rep, "core count")?;
             Ok((
                 format!("{cores} cores"),
@@ -673,8 +619,7 @@ pub fn sweep_core_count(
 
 /// Sweep a ring-cache parameter; `set` mutates the default ring config.
 /// The compiled program, its decode, and the baseline are shared; every
-/// sweep point rides the same `run_batch` call, so under the batched
-/// engine the whole sweep steps in lockstep as lanes of one session.
+/// sweep point rides the same `run_batch` call.
 pub fn sweep_ring<F: Fn(&mut RingConfig) + Sync>(
     w: &Workload,
     cores: usize,
@@ -793,7 +738,7 @@ pub fn overhead_breakdown(
         vec![MachineConfig::helix_rc(cores)],
     )?
     .pop()
-    .expect("one lane in, one report out");
+    .expect("one config in, one report out");
     check(&rep, &w.name)?;
     Ok(OverheadRow {
         name: w.name.to_string(),
@@ -819,7 +764,7 @@ pub fn iteration_lengths(w: &Workload, opts: &ExperimentOptions) -> Result<Vec<u
         vec![MachineConfig::helix_rc(1)],
     )?
     .pop()
-    .expect("one lane in, one report out");
+    .expect("one config in, one report out");
     Ok(rep.iteration_lengths)
 }
 
@@ -840,7 +785,7 @@ pub fn sharing_profile(
         vec![MachineConfig::helix_rc(cores)],
     )?
     .pop()
-    .expect("one lane in, one report out");
+    .expect("one config in, one report out");
     check(&rep, &w.name)?;
     let stats = rep.ring_stats.expect("ring stats present");
     Ok((stats.distance_distribution(), stats.consumer_distribution()))

@@ -10,10 +10,9 @@
 //!
 //! * **sanity** — no race violations, protocol errors, or simulation
 //!   faults on the baseline runs;
-//! * **engine-agreement** — tree, decoded, and batched engines produce
-//!   identical observables;
+//! * **engine-agreement** — tree and decoded engines produce identical
+//!   observables;
 //! * **fast-forward** — event-skipping equals the naive cycle loop;
-//! * **lane-invariance** — batched session lanes equal standalone runs;
 //! * **coverage-sum** — per-nest in-context weights account for the
 //!   whole program;
 //! * **amdahl-bound** — the *computation* speedup never exceeds the
@@ -44,10 +43,7 @@ use crate::report::json_escape;
 use crate::resilient::{fnv1a, FNV_OFFSET};
 use crate::scenario::{nest_rows, NestRow};
 use helix_hcc::{compile, HccConfig};
-use helix_sim::{
-    simulate, simulate_sequential, Bucket, EngineSel, MachineConfig, RunReport, SimError,
-    SimSession,
-};
+use helix_sim::{simulate, simulate_sequential, Bucket, EngineSel, MachineConfig, RunReport};
 use helix_workloads::spec::{CompilerGen, OpSpec, PhaseSpec};
 use helix_workloads::{generate, Scale, ScenarioSpec, SpecGen};
 use std::fmt::Write as _;
@@ -105,12 +101,10 @@ impl Default for ExploreOptions {
 pub enum Oracle {
     /// Baseline runs are clean: no races, protocol errors, or faults.
     Sanity,
-    /// Tree / decoded / batched engines agree on every observable.
+    /// Tree and decoded engines agree on every observable.
     EngineAgreement,
     /// Fast-forward equals the naive cycle loop.
     FastForward,
-    /// Session lanes equal standalone runs.
-    LaneInvariance,
     /// Per-nest weights sum to the whole program.
     CoverageSum,
     /// Speedup stays within the Amdahl bound implied by coverage.
@@ -124,7 +118,6 @@ impl Oracle {
             Oracle::Sanity => "sanity",
             Oracle::EngineAgreement => "engine-agreement",
             Oracle::FastForward => "fast-forward",
-            Oracle::LaneInvariance => "lane-invariance",
             Oracle::CoverageSum => "coverage-sum",
             Oracle::AmdahlBound => "amdahl-bound",
         }
@@ -520,32 +513,23 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
         }
     }
 
-    // Engine agreement: decoded (baseline) vs tree vs batched.
-    let tree = simulate(
+    // Engine agreement: decoded (baseline) vs tree.
+    exam.checks += 1;
+    match simulate(
         &compiled,
         &helix_cfg.clone().with_engine(EngineSel::Tree),
         fuel,
-    );
-    let batched = simulate(
-        &compiled,
-        &helix_cfg.clone().with_engine(EngineSel::Batched),
-        fuel,
-    );
-    for (engine, run) in [("tree", &tree), ("batched", &batched)] {
-        exam.checks += 1;
-        match run {
-            Ok(r) => {
-                if let Err(d) = oracle_report_agreement(&helix, r, &format!("decoded vs {engine}"))
-                {
-                    fail(&mut exam, Oracle::EngineAgreement, d);
-                }
+    ) {
+        Ok(r) => {
+            if let Err(d) = oracle_report_agreement(&helix, &r, "decoded vs tree") {
+                fail(&mut exam, Oracle::EngineAgreement, d);
             }
-            Err(e) => fail(
-                &mut exam,
-                Oracle::EngineAgreement,
-                format!("{engine} engine failed where decoded succeeded: {e:?}"),
-            ),
         }
+        Err(e) => fail(
+            &mut exam,
+            Oracle::EngineAgreement,
+            format!("tree engine failed where decoded succeeded: {e:?}"),
+        ),
     }
 
     // Fast-forward vs the naive cycle loop.
@@ -561,34 +545,6 @@ pub fn examine_spec(spec: &ScenarioSpec, opts: &ExploreOptions) -> SpecExam {
             Oracle::FastForward,
             format!("naive loop failed where fast-forward succeeded: {e:?}"),
         ),
-    }
-
-    // Lane invariance: a mixed-engine session drain must equal the
-    // standalone runs, byte for byte (debug formatting, like the lane
-    // exactness pins).
-    let expected: [(&str, Result<RunReport, SimError>); 3] = [
-        ("decoded", Ok(helix.clone())),
-        ("tree", tree),
-        ("batched", batched),
-    ];
-    let mut session = SimSession::new(&compiled.program, &compiled.plans);
-    session.enqueue(helix_cfg.clone(), fuel);
-    session.enqueue(helix_cfg.clone().with_engine(EngineSel::Tree), fuel);
-    session.enqueue(helix_cfg.clone().with_engine(EngineSel::Batched), fuel);
-    for (lane, (engine, standalone)) in session.drain().into_iter().zip(expected.iter()) {
-        exam.checks += 1;
-        let got = format!("{:?}", lane.result);
-        let want = format!("{:?}", standalone);
-        if got != want {
-            fail(
-                &mut exam,
-                Oracle::LaneInvariance,
-                format!(
-                    "lane {} ({engine}) diverged from its standalone run",
-                    lane.lane
-                ),
-            );
-        }
     }
 
     // Per-nest coverage accounting (multi-nest specs only).

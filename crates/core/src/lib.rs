@@ -34,8 +34,8 @@
 //!   dedup, and journal-hit answers for repeat submissions;
 //! * [`explore`] — `helix explore`: seed-deterministic scenario
 //!   fuzzing through a battery of differential oracles (engine
-//!   agreement, fast-forward exactness, lane invariance, coverage
-//!   accounting, Amdahl bounds) with frontier search and auto-shrunk,
+//!   agreement, fast-forward exactness, coverage accounting, Amdahl
+//!   bounds) with frontier search and auto-shrunk,
 //!   runnable-TOML findings.
 //!
 //! # Examples

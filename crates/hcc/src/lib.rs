@@ -224,18 +224,48 @@ fn fresh_reg(p: &mut Program) -> Reg {
     r
 }
 
-/// Compile `program` with `config`.
+/// Compile `program` with `config`: [`training_profile`] under
+/// `config.profile_fuel`, then [`compile_with_profile`].
 ///
 /// # Errors
 ///
 /// Fails if the program is invalid or the profiling run faults. A loop
 /// that cannot be transformed is skipped, not an error.
 pub fn compile(program: &Program, config: &HccConfig) -> Result<CompiledProgram, CompileError> {
+    let prof = training_profile(program, config.profile_fuel)?;
+    compile_with_profile(program, config, &prof)
+}
+
+/// Profile `program` on its training input, at most `fuel` steps. The
+/// result depends only on the program and `fuel`, so callers compiling
+/// one program under many configurations can profile once and hand it
+/// to [`compile_with_profile`].
+///
+/// # Errors
+///
+/// Fails if the program is invalid or the profiling run faults.
+pub fn training_profile(program: &Program, fuel: u64) -> Result<ProgramProfile, CompileError> {
     program.validate()?;
     let forest = LoopForest::compute(&program.graph, program.graph.entry);
     let mut env = Env::for_program(program);
-    let prof = profile::profile(program, &forest, &mut env, config.profile_fuel)?;
-    let selection = select_loops(program, &forest, &prof, config.dep, &config.selection);
+    Ok(profile::profile(program, &forest, &mut env, fuel)?)
+}
+
+/// Compile `program` with `config` against a precomputed training
+/// profile (a [`training_profile`] of this program under
+/// `config.profile_fuel`). Identical to [`compile`] for that profile.
+///
+/// # Errors
+///
+/// Fails if the program is invalid.
+pub fn compile_with_profile(
+    program: &Program,
+    config: &HccConfig,
+    prof: &ProgramProfile,
+) -> Result<CompiledProgram, CompileError> {
+    program.validate()?;
+    let forest = LoopForest::compute(&program.graph, program.graph.entry);
+    let selection = select_loops(program, &forest, prof, config.dep, &config.selection);
 
     let mut working = program.clone();
     // Shared-variable region (created even if unused by some loops; 8KB
@@ -703,6 +733,21 @@ mod tests {
         assert!(compiled.stats.sync_insts > 0);
         assert!(compiled.stats.coverage > 0.8);
         assert!(compiled.program.validate().is_ok());
+    }
+
+    /// One training profile serves every configuration: compiling
+    /// against it is output-identical to [`compile`].
+    #[test]
+    fn shared_profile_compiles_identically() {
+        let p = hot_program();
+        let configs = [HccConfig::v1(4), HccConfig::v2(8), HccConfig::v3(16)];
+        let prof = training_profile(&p, configs[0].profile_fuel).unwrap();
+        for config in &configs {
+            assert_eq!(config.profile_fuel, configs[0].profile_fuel);
+            let direct = compile(&p, config).unwrap();
+            let shared = compile_with_profile(&p, config, &prof).unwrap();
+            assert_eq!(format!("{direct:?}"), format!("{shared:?}"));
+        }
     }
 
     /// The transformed program, run sequentially, computes exactly what

@@ -36,9 +36,8 @@ pub struct CacheConfig {
 }
 
 /// Which execution engine drives the cores' functional state and issue
-/// loops. All three engines produce bit-identical results (pinned by
-/// the decode- and lane-exactness regression tests); they differ only
-/// in speed and sharing.
+/// loops. Both engines produce bit-identical results (pinned by the
+/// decode-exactness regression tests); they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineSel {
     /// The original tree-walking interpreter over the `Inst` enum, kept
@@ -50,20 +49,13 @@ pub enum EngineSel {
     /// per-instruction hot path is an index-dispatch loop. Cycle-exact
     /// with the tree interpreter; the default.
     Decoded,
-    /// The decoded engine driven through a lane-parallel
-    /// [`SimSession`](crate::SimSession): many machines share one
-    /// `Arc<DecodedProgram>` and step in lockstep. A machine built
-    /// directly under this selection behaves exactly like `Decoded`;
-    /// the selection exists so callers (experiments, campaigns, the
-    /// CLI) can request batched execution uniformly.
-    Batched,
 }
 
 impl EngineSel {
     /// Whether this engine runs on pre-decoded micro-op tables (and can
     /// therefore share one decode across machines).
     pub fn is_decoded(self) -> bool {
-        !matches!(self, EngineSel::Tree)
+        self == EngineSel::Decoded
     }
 }
 
@@ -147,9 +139,9 @@ pub struct MachineConfig {
     /// regression tests) — so it is on by default; disable it to
     /// cross-check or to measure the naive loop.
     pub fast_forward: bool,
-    /// Execution engine selection: pre-decoded micro-ops (default), the
-    /// tree-walking interpreter, or the batched lane engine. All
-    /// produce bit-identical results; they differ only in speed.
+    /// Execution engine selection: pre-decoded micro-ops (default) or
+    /// the tree-walking interpreter. Both produce bit-identical
+    /// results; they differ only in speed.
     pub engine: EngineSel,
 }
 

@@ -53,12 +53,10 @@ pub mod dram;
 pub mod machine;
 pub mod memsys;
 pub mod race;
-pub mod session;
 pub mod sync;
 
 pub use attribution::{Attribution, Bucket};
 pub use config::{CacheConfig, CoreModel, DecoupleConfig, EngineSel, MachineConfig, SyncModel};
-pub use machine::{simulate, simulate_sequential, Machine, MachineSpares, RunReport, SimError};
+pub use machine::{simulate, simulate_sequential, Machine, RunReport, SimError};
 pub use memsys::{MemStats, MemSystem};
 pub use race::RaceViolation;
-pub use session::{LaneConfig, LaneResult, MachinePool, SimSession};

@@ -82,7 +82,6 @@ fn smoke_campaign_survives_chaos_and_resumes_byte_identically() {
             stall_ms: 0,
             transient: false,
         }),
-        ..CampaignRunOptions::default()
     };
     let chaos = run_campaign_with(&spec, &scenarios, &chaos_opts).expect("chaos run completes");
     assert_eq!(chaos.failures.len(), 2, "exactly the injected panics");

@@ -1,97 +1,110 @@
-//! Lane-exactness pins: batched lane-parallel campaign execution is a
-//! pure performance feature — a report produced with any lane width,
-//! engine selection, or shared-cache configuration must be
-//! byte-identical to the single-lane per-cell baseline. These tests
-//! enforce that across every committed scenario (the paper campaign),
-//! across the engine axis (tree / decoded / batched), and under the
-//! chaos harness (fault-injected cells stay isolated from their
-//! batched neighbours).
+//! Cache-exactness pins. Every campaign shares one simulation cache per
+//! scenario (memoized profiles, compiles, decodes, and run reports);
+//! that is a pure performance feature. These tests hold it to that:
+//! the committed smoke and paper campaigns keep their report bytes
+//! (digests recorded before the lane layer was deleted, when the cache
+//! was still opt-in), every campaign row equals the uncached experiment
+//! call it lowers to, the engine axis stays invisible, and under the
+//! chaos harness fault-injected cells stay isolated from the cache
+//! their neighbours share. The former `lanes` option is still accepted
+//! on both front doors.
 
 mod common;
 
 use common::repo_path;
 use helix_rc::api::{decode_request, execute, Request, Response, RunOptions, SpecSource};
-use helix_rc::campaign::{load_campaign, run_campaign_with, CampaignRunOptions};
-use helix_rc::hcc::{compile, CompiledProgram, HccConfig};
+use helix_rc::campaign::{load_campaign, run_campaign_with, CampaignRunOptions, LoweredCampaign};
+use helix_rc::experiment::ExperimentOptions;
 use helix_rc::resilient::FaultPlan;
-use helix_rc::sim::{EngineSel, Machine, MachineConfig, SimSession};
-use helix_rc::workloads::{by_name, Scale};
-use helix_rc::CampaignSource;
-use proptest::prelude::*;
+use helix_rc::sim::EngineSel;
+use helix_rc::workloads::{CampaignSpec, ScenarioSpec};
+use helix_rc::{CampaignReport, CampaignSource};
 use std::sync::OnceLock;
 
-fn lanes(n: usize) -> CampaignRunOptions {
-    CampaignRunOptions {
-        lanes: n,
-        ..CampaignRunOptions::default()
-    }
+/// FNV-1a (64-bit) of a report's JSON bytes.
+fn digest(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn smoke() -> &'static (CampaignSpec, Vec<ScenarioSpec>) {
+    static SMOKE: OnceLock<(CampaignSpec, Vec<ScenarioSpec>)> = OnceLock::new();
+    SMOKE.get_or_init(|| {
+        load_campaign(&repo_path("campaigns/smoke.toml")).expect("smoke campaign loads")
+    })
+}
+
+/// The smoke campaign run once with default options, shared by every
+/// test that compares against it.
+fn smoke_report() -> &'static CampaignReport {
+    static REPORT: OnceLock<CampaignReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let (spec, scenarios) = smoke();
+        let report =
+            run_campaign_with(spec, scenarios, &CampaignRunOptions::default()).expect("smoke run");
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        report
+    })
+}
+
+/// The smoke campaign's report bytes are those of the per-cell,
+/// uncached runs that preceded the always-on cache.
+#[test]
+fn smoke_campaign_report_bytes_are_pinned() {
+    assert_eq!(digest(&smoke_report().to_json()), 0x1b97_635b_60a8_8322);
 }
 
 /// The committed paper campaign — every committed scenario through
-/// every experiment family — reports byte-identically whether cells
-/// run standalone or batched over shared decodes.
+/// every experiment family — keeps its report bytes too.
 #[test]
-fn batched_paper_campaign_is_byte_identical_to_per_cell() {
+fn paper_campaign_report_bytes_are_pinned() {
     let (spec, scenarios) =
         load_campaign(&repo_path("campaigns/paper.toml")).expect("paper campaign loads");
-    let baseline =
-        run_campaign_with(&spec, &scenarios, &CampaignRunOptions::default()).expect("per-cell run");
-    assert!(baseline.failures.is_empty(), "{:?}", baseline.failures);
-    // lanes=4 leaves each scenario's cells spanning several session
-    // chunks, so chunk boundaries are exercised too (wider widths only
-    // repeat the same ~40s campaign without new coverage).
-    let batched = run_campaign_with(&spec, &scenarios, &lanes(4)).expect("batched run");
-    assert_eq!(
-        batched.to_json(),
-        baseline.to_json(),
-        "lanes=4 report differs from the per-cell baseline"
-    );
+    let report =
+        run_campaign_with(&spec, &scenarios, &CampaignRunOptions::default()).expect("paper run");
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(digest(&report.to_json()), 0x5bbd_f393_dc5d_d4c6);
 }
 
-/// The engine axis is invisible in reports: tree interpreter, decoded,
-/// and batched (single- and multi-lane) smoke-campaign runs all emit
-/// the same bytes.
-#[test]
-fn engine_selection_never_changes_report_bytes() {
-    let (spec, scenarios) =
-        load_campaign(&repo_path("campaigns/smoke.toml")).expect("smoke campaign loads");
-    let baseline =
-        run_campaign_with(&spec, &scenarios, &CampaignRunOptions::default()).expect("baseline");
-    assert!(baseline.failures.is_empty());
-    for (engine, width) in [
-        (EngineSel::Tree, 1),
-        (EngineSel::Decoded, 1),
-        (EngineSel::Batched, 1),
-        (EngineSel::Tree, 4),
-        (EngineSel::Batched, 4),
-    ] {
-        let run = run_campaign_with(
-            &spec,
-            &scenarios,
-            &CampaignRunOptions {
-                engine: Some(engine),
-                lanes: width,
-                ..CampaignRunOptions::default()
-            },
-        )
-        .expect("engine run");
-        assert_eq!(
-            run.to_json(),
-            baseline.to_json(),
-            "engine={engine:?} lanes={width} report differs"
-        );
+/// Run every smoke cell on its own, uncached, under `opts`, and check
+/// each renders the same row as the cached campaign.
+fn assert_cells_match_the_campaign(opts: &ExperimentOptions) {
+    let (spec, scenarios) = smoke();
+    let lowered = LoweredCampaign::new(spec, scenarios).expect("smoke lowers");
+    let report = smoke_report();
+    assert_eq!(lowered.cells.len(), report.rows.len());
+    for (cell, row) in lowered.cells.iter().zip(&report.rows) {
+        let direct = lowered.run_cell(*cell, opts).expect("uncached cell");
+        assert_eq!(&direct, row, "cell {cell:?} differs under {opts:?}");
     }
 }
 
-/// Failure isolation survives batching: a chaos plan injecting panics
-/// into a deterministic subset of cells produces the same failures —
-/// and the same surviving rows, byte for byte — at any lane width.
-/// Fault-injected cells run single-lane without the shared cache, so a
-/// panicking cell can neither corrupt nor seed its neighbours.
+/// Every campaign row equals the uncached experiment call its cell
+/// lowers to, run with `ExperimentOptions::default()`.
 #[test]
-fn chaos_failure_isolation_is_lane_invariant() {
-    let (spec, scenarios) =
-        load_campaign(&repo_path("campaigns/smoke.toml")).expect("smoke campaign loads");
+fn campaign_rows_match_uncached_experiment_calls() {
+    assert_cells_match_the_campaign(&ExperimentOptions::default());
+}
+
+/// The engine axis is invisible in reports: every smoke cell run on
+/// the tree interpreter, or on the naive cycle loop, renders the same
+/// row as the cached, decoded, fast-forwarding campaign.
+#[test]
+fn engine_selection_never_changes_report_bytes() {
+    assert_cells_match_the_campaign(&ExperimentOptions::default().with_engine(EngineSel::Tree));
+    assert_cells_match_the_campaign(&ExperimentOptions::default().without_fast_forward());
+}
+
+/// Failure isolation holds with the shared cache: a chaos plan
+/// injecting panics into a deterministic subset of cells fails exactly
+/// those cells, and every surviving row — grid and derived — is byte
+/// for byte the clean run's. Fault-injected cells run without the
+/// scenario's cache, so a panicking cell can neither corrupt nor seed
+/// its neighbours.
+#[test]
+fn chaos_failure_isolation_holds_with_the_shared_cache() {
+    let (spec, scenarios) = smoke();
     let plan = FaultPlan {
         seed: 7,
         panics: 2,
@@ -100,103 +113,40 @@ fn chaos_failure_isolation_is_lane_invariant() {
         stall_ms: 0,
         transient: false,
     };
-    let single = run_campaign_with(
-        &spec,
-        &scenarios,
-        &CampaignRunOptions {
-            faults: Some(plan.clone()),
-            ..CampaignRunOptions::default()
-        },
-    )
-    .expect("single-lane chaos run");
-    assert_eq!(single.failures.len(), 2, "exactly the injected panics");
-    let batched = run_campaign_with(
-        &spec,
-        &scenarios,
+    let chaos = run_campaign_with(
+        spec,
+        scenarios,
         &CampaignRunOptions {
             faults: Some(plan),
-            lanes: 4,
             ..CampaignRunOptions::default()
         },
     )
-    .expect("batched chaos run");
-    assert_eq!(
-        batched.to_json(),
-        single.to_json(),
-        "chaos run must be lane-invariant (same failures, same survivors)"
-    );
-}
-
-/// One compiled workload shared across every proptest case: the
-/// session's exactness contract is schedule-independent, so one program
-/// with mixed machine shapes on top exercises everything the strategy
-/// varies.
-fn compiled_gzip() -> &'static CompiledProgram {
-    static COMPILED: OnceLock<CompiledProgram> = OnceLock::new();
-    COMPILED.get_or_init(|| {
-        let w = by_name("164.gzip", Scale::Test).expect("gzip workload");
-        compile(&w.program, &HccConfig::v3(4)).expect("gzip compiles")
-    })
-}
-
-/// One lane's machine shape and fuel, drawn at random: helix-rc or
-/// conventional, 2 or 4 cores, any engine, and a fuel budget that
-/// either exhausts mid-run or lets the program complete.
-fn lane_strategy() -> impl Strategy<Value = (MachineConfig, u64)> {
-    (
-        any::<bool>(),
-        prop_oneof![Just(2usize), Just(4usize)],
-        prop_oneof![
-            Just(EngineSel::Tree),
-            Just(EngineSel::Decoded),
-            Just(EngineSel::Batched),
-        ],
-        prop_oneof![Just(1u64 << 12), Just(1u64 << 24)],
-    )
-        .prop_map(|(ring, cores, engine, fuel)| {
-            let cfg = if ring {
-                MachineConfig::helix_rc(cores)
-            } else {
-                MachineConfig::conventional(cores)
-            };
-            (cfg.with_engine(engine), fuel)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Property form of the lane-exactness pin at the session layer:
-    /// for ANY lane count, enqueue order, engine mix, shape mix, and
-    /// fuel mix, every lane's report (or error) out of the
-    /// event-cooperative drain is byte-identical to a standalone
-    /// `Machine::run` of the same config — including lanes recycled
-    /// out of the session's machine pool on later drains.
-    #[test]
-    fn random_lane_mixes_match_standalone_runs(
-        lanes in prop::collection::vec(lane_strategy(), 1..7),
-        redrain in any::<bool>(),
-    ) {
-        let compiled = compiled_gzip();
-        let mut session = SimSession::new(&compiled.program, &compiled.plans);
-        let rounds = if redrain { 2 } else { 1 };
-        for _ in 0..rounds {
-            for (cfg, fuel) in &lanes {
-                session.enqueue(cfg.clone(), *fuel);
-            }
-            for (ix, result) in session.drain().into_iter().enumerate() {
-                let (cfg, fuel) = &lanes[ix];
-                let standalone =
-                    Machine::new(&compiled.program, &compiled.plans, cfg.clone()).run(*fuel);
-                prop_assert_eq!(
-                    format!("{:?}", result.result),
-                    format!("{:?}", standalone),
-                    "lane {} (cfg {:?}) diverged from its standalone run",
-                    ix,
-                    cfg
-                );
-            }
+    .expect("chaos run");
+    assert_eq!(chaos.failures.len(), 2, "exactly the injected panics");
+    let clean = smoke_report();
+    assert_eq!(chaos.rows.len() + 2, clean.rows.len());
+    let mut survivors = chaos.rows.iter().peekable();
+    for row in &clean.rows {
+        if survivors.peek() == Some(&row) {
+            survivors.next();
+        } else {
+            assert!(
+                chaos.failures.iter().any(|f| f.scenario == row.scenario
+                    && f.experiment == row.experiment
+                    && f.cores == row.cores),
+                "row {}/{} missing without a failure",
+                row.scenario,
+                row.experiment
+            );
         }
+    }
+    assert!(survivors.next().is_none(), "chaos rows out of grid order");
+    for d in &chaos.derived {
+        assert!(
+            clean.derived.contains(d),
+            "derived row {} differs",
+            d.scenario
+        );
     }
 }
 
@@ -248,5 +198,16 @@ fn wire_lanes_zero_is_a_typed_protocol_error() {
             "unexpected message: {}",
             err.message
         );
+    }
+}
+
+/// v1 clients that still send a lane width keep working: the field
+/// decodes and round-trips, it just no longer changes execution.
+#[test]
+fn wire_lanes_is_still_accepted() {
+    let line = r#"{"v": 1, "type": "run_campaign", "campaign": "", "scenarios": [], "options": {"lanes": 4}}"#;
+    match decode_request(line).expect("lanes=4 decodes") {
+        Request::RunCampaign { options, .. } => assert_eq!(options.lanes, Some(4)),
+        other => panic!("decoded to {other:?}"),
     }
 }
