@@ -1,14 +1,15 @@
 //! Per-scenario simulation cache: the one batching mechanism.
 //!
 //! A campaign grid simulates one scenario under many overlapping
-//! (compiler, machine, fuel) combinations: every experiment re-runs the
+//! (compiler, machine, fuel) combinations: every experiment needs the
 //! sequential baseline, most share the HCCv3 compile, and several cells
 //! repeat the exact HELIX-RC simulation. A [`SimCache`] — scoped to
 //! **one** workload (one generated program) — memoizes training
-//! profiles, compiles, decodes, and successful run reports under
-//! deterministic keys, so a campaign performs each distinct unit of
-//! work once. A campaign runs each scenario as one work unit against
-//! its own cache and drops the cache when the unit ends.
+//! profiles, compiles, decodes, sequential baseline cycles, and
+//! successful run reports under deterministic keys, so a campaign
+//! performs each distinct unit of work once. A campaign runs each
+//! scenario as one work unit against its own cache and drops the cache
+//! when the unit ends.
 //!
 //! Everything cached is deterministic: a hit returns byte-for-byte the
 //! value a recompute would produce, which is why campaign reports stay
@@ -34,17 +35,23 @@ pub const SEQ_KEY: &str = "seq";
 /// failure.
 type ProfileSlot = OnceLock<Result<Arc<ProgramProfile>, ExpError>>;
 
+/// Sequential baseline cycles, filled by the first successful run;
+/// concurrent askers wait on the slot instead of simulating again.
+type BaselineSlot = Mutex<Option<u64>>;
+
 /// Memoized profile/compile/decode/simulate results for one workload's
 /// program.
 ///
 /// Shareable across threads (`Arc<SimCache>`): all maps sit behind
 /// mutexes. A race between two threads computing the same compile,
 /// decode, or report is benign — both compute the same deterministic
-/// value and one insert wins. Training profiles, the costliest shared
-/// stage of a compile, are computed once per key even under races.
+/// value and one insert wins. Training profiles and sequential
+/// baselines, which every cell of a scenario asks for at once, are
+/// computed once per key even under races.
 #[derive(Debug, Default)]
 pub struct SimCache {
     profiles: Mutex<HashMap<u64, Arc<ProfileSlot>>>,
+    baselines: Mutex<HashMap<String, Arc<BaselineSlot>>>,
     compiled: Mutex<HashMap<String, Arc<CompiledProgram>>>,
     decoded: Mutex<HashMap<String, Arc<DecodedProgram>>>,
     reports: Mutex<HashMap<String, RunReport>>,
@@ -84,6 +91,34 @@ impl SimCache {
         lock(&self.profiles)
             .values()
             .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    /// The sequential baseline cycles stored under `key`, or `run`'s
+    /// result, stored on success. Concurrent callers with the same key
+    /// wait for the first; a failure is not stored, so the next caller
+    /// (a retry) runs again.
+    pub fn baseline(
+        &self,
+        key: String,
+        run: impl FnOnce() -> Result<u64, ExpError>,
+    ) -> Result<u64, ExpError> {
+        let slot = lock(&self.baselines).entry(key).or_default().clone();
+        let mut cycles = lock(&slot);
+        if let Some(hit) = *cycles {
+            return Ok(hit);
+        }
+        let computed = run()?;
+        *cycles = Some(computed);
+        Ok(computed)
+    }
+
+    /// How many sequential baselines this cache has simulated.
+    #[cfg(test)]
+    fn baselines_computed(&self) -> usize {
+        lock(&self.baselines)
+            .values()
+            .filter(|slot| lock(slot).is_some())
             .count()
     }
 
@@ -183,6 +218,42 @@ mod tests {
         cheap.profile_fuel /= 2;
         cache.compile(&program, &cheap).unwrap();
         assert_eq!(cache.profiles_computed(), 2, "the key includes the fuel");
+    }
+
+    /// The generations, coupled_vs_ring, overheads and core_sweep cells
+    /// of a grid at 2, 4, 8 and 16 cores share one sequential baseline
+    /// simulation; each further core model adds one.
+    #[test]
+    fn one_sequential_baseline_per_scenario_cache() {
+        use crate::experiment::*;
+        use helix_workloads::{Kind, PaperRow, Workload};
+        let w = Workload {
+            name: "tiny".into(),
+            kind: Kind::Int,
+            program: tiny(),
+            paper: PaperRow::UNPUBLISHED,
+            nests: Vec::new(),
+        };
+        let cache = Arc::new(SimCache::new());
+        let opts = ExperimentOptions::default().with_cache(cache.clone());
+        let counts = [2, 4, 8, 16];
+        for cores in counts {
+            compiler_generations(&w, cores, &opts).unwrap();
+            coupled_vs_ring(&w, cores, &opts).unwrap();
+            overhead_breakdown(&w, cores, &opts).unwrap();
+        }
+        sweep_core_count(&w, &counts, &opts).unwrap();
+        assert_eq!(cache.baselines_computed(), 1);
+        let uncached = baseline_cycles(
+            &w,
+            &helix_sim::MachineConfig::conventional(8),
+            &ExperimentOptions::default(),
+        )
+        .unwrap();
+        let row = compiler_generations(&w, 8, &opts).unwrap();
+        assert_eq!(row.seq_cycles, uncached, "a hit equals a fresh run");
+        core_type_sweep(&w, 4, &opts).unwrap();
+        assert_eq!(cache.baselines_computed(), 3, "one per core model");
     }
 
     #[test]

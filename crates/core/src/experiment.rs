@@ -4,6 +4,7 @@
 
 use crate::batch::{SimCache, SEQ_KEY};
 use helix_hcc::{CompiledProgram, HccConfig, LoopPlan};
+use helix_ir::decode::DecodedProgram;
 use helix_ir::Program;
 use helix_ring_cache::{ArrayConfig, RingConfig};
 use helix_sim::{
@@ -92,13 +93,47 @@ impl ExperimentOptions {
             None => Ok(Arc::new(helix_hcc::compile(program, hcc)?)),
         }
     }
+
+    /// `cfg` under these options' loop and engine selection.
+    fn machine(&self, mut cfg: MachineConfig) -> MachineConfig {
+        cfg.fast_forward = self.fast_forward;
+        cfg.with_engine(self.engine)
+    }
+
+    /// The cache's shared decode of the program under `decode_key`, when
+    /// there is a cache and the engine runs decoded micro-ops.
+    fn decoded(&self, decode_key: &str, program: &Program) -> Option<Arc<DecodedProgram>> {
+        match &self.cache {
+            Some(cache) if self.engine.is_decoded() => Some(cache.decoded(decode_key, program)),
+            _ => None,
+        }
+    }
 }
 
-/// Run `cfgs` over one (program, plans) pair under `opts`: engine
-/// selection applied uniformly, and — with a cache — report
-/// memoization plus one shared decode per program. `decode_key`
-/// identifies the program in the cache ([`SEQ_KEY`] or a compile key).
-/// Cache misses run in parallel; results are bit-identical either way.
+/// Report-cache key of one simulation.
+fn run_key(decode_key: &str, cfg: &MachineConfig, fuel: u64) -> String {
+    format!("{decode_key}|{cfg:?}|{fuel}")
+}
+
+/// A machine over `program`, on the shared decode when there is one.
+fn machine<'p>(
+    program: &'p Program,
+    plans: &'p [LoopPlan],
+    cfg: MachineConfig,
+    decoded: Option<Arc<DecodedProgram>>,
+) -> Machine<'p> {
+    match decoded {
+        Some(d) => Machine::with_decoded(program, plans, cfg, d),
+        None => Machine::new(program, plans, cfg),
+    }
+}
+
+/// Run `cfgs` over one compiled (program, plans) pair under `opts`:
+/// engine selection applied uniformly, and — with a cache — report
+/// memoization plus one shared decode per program. `decode_key` is the
+/// compile key identifying the program in the cache. Cache misses run
+/// in parallel; results are bit-identical either way. Sequential
+/// baselines go through [`baseline_cycles`] instead.
 fn run_batch(
     opts: &ExperimentOptions,
     decode_key: &str,
@@ -106,16 +141,10 @@ fn run_batch(
     plans: &[LoopPlan],
     cfgs: Vec<MachineConfig>,
 ) -> Result<Vec<RunReport>, ExpError> {
-    let cfgs: Vec<MachineConfig> = cfgs
-        .into_iter()
-        .map(|mut cfg| {
-            cfg.fast_forward = opts.fast_forward;
-            cfg.with_engine(opts.engine)
-        })
-        .collect();
+    let cfgs: Vec<MachineConfig> = cfgs.into_iter().map(|cfg| opts.machine(cfg)).collect();
     let keys: Vec<String> = cfgs
         .iter()
-        .map(|cfg| format!("{decode_key}|{cfg:?}|{}", opts.fuel))
+        .map(|cfg| run_key(decode_key, cfg, opts.fuel))
         .collect();
     let mut results: Vec<Option<RunReport>> = keys
         .iter()
@@ -125,19 +154,10 @@ fn run_batch(
     if misses.is_empty() {
         return Ok(results.into_iter().map(|r| r.expect("all hits")).collect());
     }
-    let decoded = match (&opts.cache, opts.engine.is_decoded()) {
-        (Some(cache), true) => Some(cache.decoded(decode_key, program)),
-        _ => None,
-    };
+    let decoded = opts.decoded(decode_key, program);
     let computed: Vec<Result<RunReport, ExpError>> = misses
         .par_iter()
-        .map(|&ix| {
-            let mut machine = match &decoded {
-                Some(d) => Machine::with_decoded(program, plans, cfgs[ix].clone(), d.clone()),
-                None => Machine::new(program, plans, cfgs[ix].clone()),
-            };
-            Ok(machine.run(opts.fuel)?)
-        })
+        .map(|&ix| Ok(machine(program, plans, cfgs[ix].clone(), decoded.clone()).run(opts.fuel)?))
         .collect();
     for (report, &ix) in computed.into_iter().zip(&misses) {
         let report = report?;
@@ -186,14 +206,36 @@ pub fn compile_all(
 }
 
 /// Sequential baseline cycles of the *original* program on the given
-/// core model.
+/// core model and memory system: the denominator of every speedup.
+///
+/// The original program has no parallel plans, so every core but the
+/// first idles through the whole run and the cycles do not depend on
+/// the core count (pinned by `tests/baseline_invariance.rs`). The
+/// baseline therefore runs on one core, and a scenario cache keys it by
+/// that canonical configuration: one simulation per core model and
+/// memory configuration, however many core counts ask for it. Only the
+/// cycles come back, so no caller can mistake the one-core run's
+/// attribution for an N-core one.
 pub fn baseline_cycles(
     w: &Workload,
     cfg: &MachineConfig,
     opts: &ExperimentOptions,
 ) -> Result<u64, ExpError> {
-    let reports = run_batch(opts, SEQ_KEY, &w.program, &[], vec![cfg.clone()])?;
-    Ok(reports[0].cycles)
+    let mut cfg = opts.machine(cfg.clone());
+    cfg.cores = 1;
+    if let Some(ring) = &mut cfg.ring {
+        ring.nodes = 1;
+    }
+    let run = || -> Result<u64, ExpError> {
+        let decoded = opts.decoded(SEQ_KEY, &w.program);
+        Ok(machine(&w.program, &[], cfg.clone(), decoded)
+            .run(opts.fuel)?
+            .cycles)
+    };
+    match &opts.cache {
+        Some(cache) => cache.baseline(run_key(SEQ_KEY, &cfg, opts.fuel), run),
+        None => run(),
+    }
 }
 
 /// Assert a parallel run upheld all compiler guarantees.
@@ -252,43 +294,38 @@ pub fn compiler_generations(
     ];
 
     // The four runs cover four *different* programs (original + three
-    // transformed), so there is no decode to share across them; each is
-    // a one-config batch, parallel across jobs.
+    // transformed), so there is no decode to share across them; they
+    // run as independent jobs in parallel.
     let jobs: Vec<Option<usize>> = vec![None, Some(0), Some(1), Some(2)];
-    let reports: Vec<RunReport> =
-        jobs.par_iter()
-            .map(|job| -> Result<RunReport, ExpError> {
-                let rep = match job {
-                    None => run_batch(opts, SEQ_KEY, &w.program, &[], vec![conventional.clone()])?
-                        .remove(0),
-                    Some(g) => {
-                        let (hcc, compiled, cfg) = &gens[*g];
-                        let key = SimCache::compile_key(hcc);
-                        let rep = run_batch(
-                            opts,
-                            &key,
-                            &compiled.program,
-                            &compiled.plans,
-                            vec![(*cfg).clone()],
-                        )?
-                        .remove(0);
-                        check(&rep, &w.name)?;
-                        rep
-                    }
-                };
-                Ok(rep)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    let cycles: Vec<u64> = jobs
+        .par_iter()
+        .map(|job| -> Result<u64, ExpError> {
+            let Some(g) = job else {
+                return baseline_cycles(w, &conventional, opts);
+            };
+            let (hcc, compiled, cfg) = &gens[*g];
+            let rep = run_batch(
+                opts,
+                &SimCache::compile_key(hcc),
+                &compiled.program,
+                &compiled.plans,
+                vec![(*cfg).clone()],
+            )?
+            .remove(0);
+            check(&rep, &w.name)?;
+            Ok(rep.cycles)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let seq = reports[0].cycles;
+    let seq = cycles[0];
     Ok(CompilerGenerations {
         name: w.name.to_string(),
-        v1: seq as f64 / reports[1].cycles.max(1) as f64,
-        v2: seq as f64 / reports[2].cycles.max(1) as f64,
-        helix_rc: seq as f64 / reports[3].cycles.max(1) as f64,
+        v1: seq as f64 / cycles[1].max(1) as f64,
+        v2: seq as f64 / cycles[2].max(1) as f64,
+        helix_rc: seq as f64 / cycles[3].max(1) as f64,
         paper_helix: w.paper.helix_speedup,
         seq_cycles: seq,
-        helix_cycles: reports[3].cycles,
+        helix_cycles: cycles[3],
     })
 }
 
@@ -396,40 +433,36 @@ pub fn decoupling_lattice(
 
     // Three independent jobs: the sequential baseline, the HCCv2 bar,
     // and the four HCCv3 points batched over one shared decode.
-    let (seq, v2_cycles, v3_reports) = {
-        let results: Vec<Result<Vec<RunReport>, ExpError>> = [0usize, 1, 2]
-            .par_iter()
-            .map(|job| match job {
-                0 => run_batch(
-                    opts,
-                    SEQ_KEY,
-                    &w.program,
-                    &[],
-                    vec![MachineConfig::conventional(cores)],
-                ),
-                1 => run_batch(
-                    opts,
-                    &SimCache::compile_key(&v2_hcc),
-                    &v2.program,
-                    &v2.plans,
-                    vec![LatticePoint::Hccv2.machine(cores)],
-                ),
-                _ => run_batch(
-                    opts,
-                    &SimCache::compile_key(&v3_hcc),
-                    &v3.program,
-                    &v3.plans,
-                    v3_points.iter().map(|p| p.machine(cores)).collect(),
-                ),
-            })
-            .collect();
-        let mut it = results.into_iter();
-        let seq = it.next().expect("three")?.remove(0).cycles;
-        let v2_report = it.next().expect("three")?.remove(0);
-        check(&v2_report, LatticePoint::Hccv2.label())?;
-        let v3_reports = it.next().expect("three")?;
-        (seq, v2_report.cycles, v3_reports)
-    };
+    let (seq, (v2_reports, v3_reports)) = rayon::join(
+        || baseline_cycles(w, &MachineConfig::conventional(cores), opts),
+        || {
+            rayon::join(
+                || {
+                    run_batch(
+                        opts,
+                        &SimCache::compile_key(&v2_hcc),
+                        &v2.program,
+                        &v2.plans,
+                        vec![LatticePoint::Hccv2.machine(cores)],
+                    )
+                },
+                || {
+                    run_batch(
+                        opts,
+                        &SimCache::compile_key(&v3_hcc),
+                        &v3.program,
+                        &v3.plans,
+                        v3_points.iter().map(|p| p.machine(cores)).collect(),
+                    )
+                },
+            )
+        },
+    );
+    let seq = seq?;
+    let v2_report = v2_reports?.remove(0);
+    check(&v2_report, LatticePoint::Hccv2.label())?;
+    let v2_cycles = v2_report.cycles;
+    let v3_reports = v3_reports?;
     let mut out = vec![(LatticePoint::Hccv2, seq as f64 / v2_cycles.max(1) as f64)];
     for (point, report) in v3_points.iter().zip(&v3_reports) {
         check(report, point.label())?;
@@ -531,8 +564,8 @@ pub struct CoreTypeRow {
 }
 
 /// Run the core-type sensitivity for one workload: the three parallel
-/// runs batch over the shared HCCv3 compile, the three sequential
-/// baselines over the original program.
+/// runs batch over the shared HCCv3 compile, and the three sequential
+/// baselines (one per core model) run in parallel.
 pub fn core_type_sweep(
     w: &Workload,
     cores: usize,
@@ -545,14 +578,14 @@ pub fn core_type_sweep(
         CoreModel::OutOfOrder { width: 2, rob: 48 },
         CoreModel::OutOfOrder { width: 4, rob: 96 },
     ];
-    let seq_cfgs: Vec<MachineConfig> = models
-        .iter()
+    let seqs: Vec<u64> = models
+        .par_iter()
         .map(|&model| {
             let mut cfg = MachineConfig::conventional(cores);
             cfg.core = model;
-            cfg
+            baseline_cycles(w, &cfg, opts)
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let par_cfgs: Vec<MachineConfig> = models
         .iter()
         .map(|&model| {
@@ -561,7 +594,6 @@ pub fn core_type_sweep(
             cfg
         })
         .collect();
-    let seqs = run_batch(opts, SEQ_KEY, &w.program, &[], seq_cfgs)?;
     let pars = run_batch(
         opts,
         &SimCache::compile_key(&hcc),
@@ -572,14 +604,14 @@ pub fn core_type_sweep(
     let mut speedups = [0.0f64; 3];
     for i in 0..3 {
         check(&pars[i], "core sweep")?;
-        speedups[i] = seqs[i].cycles as f64 / pars[i].cycles.max(1) as f64;
+        speedups[i] = seqs[i] as f64 / pars[i].cycles.max(1) as f64;
     }
     Ok(CoreTypeRow {
         name: w.name.to_string(),
         io2: speedups[0],
         ooo2: speedups[1],
         ooo4: speedups[2],
-        seq_io_over_ooo4: seqs[0].cycles as f64 / seqs[2].cycles.max(1) as f64,
+        seq_io_over_ooo4: seqs[0] as f64 / seqs[2].max(1) as f64,
     })
 }
 

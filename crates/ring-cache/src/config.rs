@@ -107,9 +107,11 @@ impl RingConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is not a power of two ≥ 1 or buffers < 2.
+    /// Panics if `nodes` is not a power of two in `1..=65536` (ring
+    /// messages carry node ids as `u16`) or buffers < 2.
     pub fn assert_valid(&self) {
         assert!(self.nodes >= 1 && self.nodes.is_power_of_two());
+        assert!(self.nodes <= 1 << 16, "ring node ids are u16");
         assert!(self.link_buffers >= 2, "flow control needs >= 2 buffers");
         assert!(self.hop_latency >= 1);
         assert!(self.data_bandwidth >= 1);

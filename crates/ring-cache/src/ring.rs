@@ -21,9 +21,13 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MainMsg {
     /// `(address, origin node)`.
-    Data { addr: u64, origin: u8 },
+    Data { addr: u64, origin: u16 },
     /// `(segment, source core, origin node)`.
-    Signal { seg: SegmentId, src: u8, origin: u8 },
+    Signal {
+        seg: SegmentId,
+        src: u16,
+        origin: u16,
+    },
 }
 
 impl MainMsg {
@@ -39,8 +43,8 @@ impl MainMsg {
 struct ReqMsg {
     ticket: u64,
     addr: u64,
-    requester: u8,
-    owner: u8,
+    requester: u16,
+    owner: u16,
 }
 
 /// Service-lane reply, routed back to `requester`.
@@ -48,7 +52,7 @@ struct ReqMsg {
 struct RepMsg {
     ticket: u64,
     addr: u64,
-    requester: u8,
+    requester: u16,
 }
 
 /// Result of issuing a load to the ring cache.
@@ -109,7 +113,7 @@ impl Node {
         }
     }
 
-    fn count_signal(&mut self, seg: SegmentId, src: u8) {
+    fn count_signal(&mut self, seg: SegmentId, src: u16) {
         let idx = seg.index() * self.nodes + src as usize;
         if idx >= self.signal_counts.len() {
             self.signal_counts.resize(idx + 1, 0);
@@ -226,7 +230,7 @@ impl RingCache {
         self.nodes[node].inject.push_back((
             MainMsg::Data {
                 addr,
-                origin: node as u8,
+                origin: node as u16,
             },
             ready,
         ));
@@ -249,8 +253,8 @@ impl RingCache {
         self.nodes[node].inject.push_back((
             MainMsg::Signal {
                 seg,
-                src: node as u8,
-                origin: node as u8,
+                src: node as u16,
+                origin: node as u16,
             },
             ready,
         ));
@@ -287,8 +291,8 @@ impl RingCache {
             let req = ReqMsg {
                 ticket,
                 addr,
-                requester: node as u8,
-                owner: owner as u8,
+                requester: node as u16,
+                owner: owner as u16,
             };
             let ready = self.now + self.cfg.injection_latency as u64 + self.cfg.hop_latency as u64;
             self.note_event(ready);
@@ -778,6 +782,32 @@ mod tests {
         }
         for n in 0..8 {
             assert_eq!(r.signal_count(n, seg, 5), 1);
+        }
+    }
+
+    /// Node ids above 255 survive the trip: a signal from node 300 of a
+    /// 512-node ring circulates back to its origin and no further, so
+    /// every node counts it exactly once.
+    #[test]
+    fn wide_ring_signal_counts_once_everywhere() {
+        let mut r = ring(512);
+        let seg = SegmentId(1);
+        assert!(r.signal(300, seg));
+        run_until(&mut r, |r| r.quiescent(), 4096);
+        for n in 0..512 {
+            assert_eq!(r.signal_count(n, seg, 300), 1, "node {n}");
+        }
+    }
+
+    /// A store from node 300 of a 512-node ring reaches every node's
+    /// array.
+    #[test]
+    fn wide_ring_store_reaches_every_node() {
+        let mut r = ring(512);
+        assert!(r.store(300, 0x40));
+        run_until(&mut r, |r| r.quiescent(), 4096);
+        for n in 0..512 {
+            assert!(r.nodes[n].array.contains(0x40), "node {n}");
         }
     }
 

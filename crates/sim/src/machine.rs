@@ -275,14 +275,18 @@ pub struct Machine<'p> {
     /// Sleep cycles are charged in one batch at wake ("settled"), not
     /// one `charge` call per cycle — same totals, no per-cycle work.
     sleep_from: Vec<u64>,
-    /// Number of cores currently sleeping, recomputed after every
-    /// executed core loop. When every core sleeps, no wake hint is
-    /// pending, and no deadline is due, the whole per-core loop is
-    /// provably a no-op and is skipped.
-    sleeping_count: usize,
-    /// Earliest sleep deadline among sleeping cores (recomputed with
-    /// `sleeping_count`).
+    /// The sleeping cores as a bitset (bit `cid % 64` of word
+    /// `cid / 64`): set exactly while `sleep_from[cid]` is. The cycle
+    /// loop visits only awake cores, hinted cores, and — while a
+    /// deadline is due — sleepers, so simulated idleness costs nothing.
+    sleeping: Vec<u64>,
+    /// Earliest `asleep_until` among sleeping cores (`u64::MAX` when
+    /// none). Exact at every cycle start; within a cycle it may only be
+    /// too early (see `deadline_stale`), which merely visits sleepers.
     next_deadline: u64,
+    /// Whether a core holding `next_deadline` woke this cycle, so the
+    /// value must be recomputed from the remaining sleepers.
+    deadline_stale: bool,
     /// Per-core conditional sleep for event-driven (`u64::MAX`-wake)
     /// stalls: while the guard holds, the stall repeats verbatim.
     /// `None` = no guard armed.
@@ -328,6 +332,18 @@ pub struct Machine<'p> {
     /// (computed once from [`inst_latency`], so the two engines can
     /// never drift).
     uop_lat: Vec<u32>,
+}
+
+/// The core ids of the set bits of `word`, word `w` of a core bitset
+/// (bit `cid % 64` of word `cid / 64`), in ascending order.
+fn word_bits(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + bit
+        })
+    })
 }
 
 const MAX_ITER_SAMPLES: usize = 1 << 16;
@@ -433,8 +449,9 @@ impl<'p> Machine<'p> {
             asleep_until: vec![0; cfg.cores],
             sleep_bucket: vec![Bucket::SerialIdle; cfg.cores],
             sleep_from: vec![u64::MAX; cfg.cores],
-            sleeping_count: 0,
+            sleeping: vec![0; cfg.cores.div_ceil(64)],
             next_deadline: u64::MAX,
+            deadline_stale: false,
             stall_guard: vec![None; cfg.cores],
             armed_guard: None,
             wake_bits: u64::MAX,
@@ -475,11 +492,12 @@ impl<'p> Machine<'p> {
                 let target = wake.min(fuel);
                 if target > self.now {
                     let skip = target - self.now;
-                    for cid in 0..self.cfg.cores {
-                        // Bulk sleepers accumulate the skipped window
-                        // through `sleep_from` and settle at wake;
-                        // charging them here would double-count.
-                        if self.sleep_from[cid] == u64::MAX {
+                    // Only awake cores: sleepers accumulate the skipped
+                    // window through `sleep_from` and settle at wake;
+                    // charging them here would double-count.
+                    let n = self.cfg.cores;
+                    for w in 0..self.sleeping.len() {
+                        for cid in word_bits(w, !self.sleeping[w]).take_while(|&c| c < n) {
                             self.attr.charge_n(cid, self.stall_buckets[cid], skip);
                         }
                     }
@@ -551,29 +569,22 @@ impl<'p> Machine<'p> {
             self.min_iter_dirty = false;
         }
         let mut all_stalled = true;
+        // Earliest wake among the cores ticked this cycle; sleepers
+        // contribute through `next_deadline` once the loop is done.
         let mut min_wake = u64::MAX;
-        // With every core sleeping, no wake hint pending, and no
-        // deadline due, the per-core loop is a no-op: each core would
-        // hit its clear wake bit and continue. Skip it outright.
-        let skip_loop = self.sleeping_count == self.cfg.cores
-            && self.wake_bits == 0
-            && self.now < self.next_deadline;
-        if skip_loop {
-            min_wake = self.next_deadline;
-        }
-        for cid in 0..if skip_loop { 0 } else { self.cfg.cores } {
+        let mut next = 0;
+        while let Some(cid) = self.next_to_visit(next) {
+            next = cid + 1;
             if self.sleep_from[cid] != u64::MAX {
                 // Mid-sleep: the stall repeats verbatim while the
                 // deadline is ahead and the guard (if any) holds. With
                 // no wake hint pending, the guard provably holds and
                 // even the re-validation is skipped. The accumulated
                 // cycles are charged in one batch at wake.
-                let until = self.asleep_until[cid];
                 let bit = 1u64 << (cid as u64 & 63);
-                if self.now < until {
+                if self.now < self.asleep_until[cid] {
                     if self.wake_bits & bit == 0 {
-                        min_wake = min_wake.min(until);
-                        continue;
+                        continue; // visited only because a deadline is due
                     }
                     let intact = match self.stall_guard[cid] {
                         Some(guard) => self.guard_intact(cid, guard),
@@ -585,17 +596,11 @@ impl<'p> Machine<'p> {
                         if self.cfg.cores <= 64 {
                             self.wake_bits &= !bit;
                         }
-                        min_wake = min_wake.min(until);
                         continue;
                     }
                 }
-                let elapsed = self.now - self.sleep_from[cid];
-                if elapsed > 0 {
-                    self.attr.charge_n(cid, self.sleep_bucket[cid], elapsed);
-                }
-                self.sleep_from[cid] = u64::MAX;
+                self.wake(cid);
                 self.stall_guard[cid] = None;
-                self.clear_wake_routing(cid);
             }
             let cycle = self.tick_core(cid)?;
             let armed = self.armed_guard.take();
@@ -609,9 +614,8 @@ impl<'p> Machine<'p> {
                     min_wake = min_wake.min(wake);
                     if self.cfg.fast_forward && wake != u64::MAX {
                         // Deterministic wake: sleep through the stall.
-                        self.asleep_until[cid] = wake;
                         self.sleep_bucket[cid] = bucket;
-                        self.sleep_from[cid] = self.now + 1;
+                        self.fall_asleep(cid, wake);
                         self.stall_guard[cid] = None;
                     } else if self.cfg.fast_forward && self.stall_guard[cid].is_none() {
                         // Event-driven wake: sleep until the stall's
@@ -633,8 +637,7 @@ impl<'p> Machine<'p> {
                                     .any(|&(ticket, _)| r.load_ready(ticket).is_some())
                             });
                         if !serviced_pending {
-                            self.asleep_until[cid] = u64::MAX;
-                            self.sleep_from[cid] = self.now + 1;
+                            self.fall_asleep(cid, u64::MAX);
                             self.register_wake_routing(cid);
                         }
                     }
@@ -651,23 +654,18 @@ impl<'p> Machine<'p> {
             self.exit_parallel();
             transition = true;
         }
-        if !skip_loop || transition {
-            // Refresh the loop-skip inputs (sleeps may have been armed,
-            // woken, or settled this cycle).
-            let mut count = 0;
-            let mut deadline = u64::MAX;
-            for cid in 0..self.cfg.cores {
-                if self.sleep_from[cid] != u64::MAX {
-                    count += 1;
-                    deadline = deadline.min(self.asleep_until[cid]);
-                }
-            }
-            self.sleeping_count = count;
-            self.next_deadline = deadline;
+        if self.deadline_stale {
+            self.next_deadline = (0..self.sleeping.len())
+                .flat_map(|w| word_bits(w, self.sleeping[w]))
+                .map(|cid| self.asleep_until[cid])
+                .min()
+                .unwrap_or(u64::MAX);
+            self.deadline_stale = false;
         }
         if !self.cfg.fast_forward || !all_stalled || transition {
             return Ok(None);
         }
+        let min_wake = min_wake.min(self.next_deadline);
         if min_wake <= self.now {
             return Ok(None); // a core wakes immediately: nothing to skip
         }
@@ -735,7 +733,6 @@ impl<'p> Machine<'p> {
         self.done_cores = done_cores;
         self.sync.begin_loop();
         self.race.begin_loop();
-        self.asleep_until.iter_mut().for_each(|t| *t = 0);
         self.stall_guard.iter_mut().for_each(|g| *g = None);
         self.wait_memo.iter_mut().for_each(|m| *m = WaitMemo::EMPTY);
         if let Some(ring) = &mut self.ring {
@@ -821,7 +818,6 @@ impl<'p> Machine<'p> {
             }
         }
 
-        self.asleep_until.iter_mut().for_each(|t| *t = 0);
         self.stall_guard.iter_mut().for_each(|g| *g = None);
         let core0 = &mut self.cores[0];
         core0.thread.regs = regs;
@@ -1159,19 +1155,62 @@ impl<'p> Machine<'p> {
     /// transitions and at run end — the points where sleeps end for
     /// reasons other than their own wake conditions.
     fn settle_sleeps(&mut self) {
-        for cid in 0..self.cfg.cores {
-            let sf = self.sleep_from[cid];
-            if sf != u64::MAX {
-                let elapsed = self.now - sf;
-                if elapsed > 0 {
-                    self.attr.charge_n(cid, self.sleep_bucket[cid], elapsed);
-                }
-                self.sleep_from[cid] = u64::MAX;
-                self.clear_wake_routing(cid);
+        for w in 0..self.sleeping.len() {
+            for cid in word_bits(w, self.sleeping[w]) {
+                self.wake(cid);
             }
         }
-        self.sleeping_count = 0;
         self.next_deadline = u64::MAX;
+        self.deadline_stale = false;
+    }
+
+    /// Put `cid` to sleep from the next cycle until `until` (`u64::MAX`:
+    /// until its stall guard breaks).
+    fn fall_asleep(&mut self, cid: usize, until: u64) {
+        self.asleep_until[cid] = until;
+        self.sleep_from[cid] = self.now + 1;
+        self.sleeping[cid / 64] |= 1 << (cid % 64);
+        self.next_deadline = self.next_deadline.min(until);
+    }
+
+    /// End `cid`'s sleep: charge its window `[sleep_from, now)` to its
+    /// sleep bucket and deregister its wake routing.
+    fn wake(&mut self, cid: usize) {
+        let elapsed = self.now - self.sleep_from[cid];
+        if elapsed > 0 {
+            self.attr.charge_n(cid, self.sleep_bucket[cid], elapsed);
+        }
+        self.sleep_from[cid] = u64::MAX;
+        self.sleeping[cid / 64] &= !(1 << (cid % 64));
+        self.clear_wake_routing(cid);
+        let until = self.asleep_until[cid];
+        if until != u64::MAX && until == self.next_deadline {
+            self.deadline_stale = true;
+        }
+    }
+
+    /// The first core at or after `from` this cycle visits: an awake
+    /// core, a core whose wake hint is set, or — while some sleep
+    /// deadline is due — any core. Read from live state, so a hint an
+    /// earlier core raised this cycle (a signal execution) reaches a
+    /// later core in the same cycle, as in a visit-every-core loop.
+    fn next_to_visit(&self, from: usize) -> Option<usize> {
+        let due = if self.now >= self.next_deadline {
+            u64::MAX
+        } else {
+            0
+        };
+        let forced = self.wake_bits | due;
+        let mut mask = u64::MAX << (from % 64);
+        for w in from / 64..self.sleeping.len() {
+            let candidates = (!self.sleeping[w] | forced) & mask;
+            if candidates != 0 {
+                let cid = w * 64 + candidates.trailing_zeros() as usize;
+                return (cid < self.cfg.cores).then_some(cid);
+            }
+            mask = u64::MAX;
+        }
+        None
     }
 
     /// Charge one cycle of a pure-idle run state. These states change
@@ -1260,11 +1299,16 @@ impl<'p> Machine<'p> {
             return Ok(CoreCycle::Progress); // state changed this cycle
         }
 
-        let cycle = if let Some(dec) = self.decoded.clone() {
-            match self.cfg.core {
-                CoreModel::InOrder { width } => self.tick_inorder_dec(cid, width, &dec)?,
-                CoreModel::OutOfOrder { width, rob } => self.tick_ooo_dec(cid, width, rob, &dec)?,
-            }
+        let cycle = if let Some(dec) = self.decoded.take() {
+            // Held outside the machine while the issue loop borrows it
+            // mutably (no per-tick `Arc` clone), and put back before
+            // an error propagates.
+            let cycle = match self.cfg.core {
+                CoreModel::InOrder { width } => self.tick_inorder_dec(cid, width, &dec),
+                CoreModel::OutOfOrder { width, rob } => self.tick_ooo_dec(cid, width, rob, &dec),
+            };
+            self.decoded = Some(dec);
+            cycle?
         } else {
             match self.cfg.core {
                 CoreModel::InOrder { width } => self.tick_inorder(cid, width)?,

@@ -87,6 +87,47 @@ fn fast_forward_is_cycle_exact_sequential() {
     }
 }
 
+/// Past one word of the simulator's sleeping-core bitset (64 cores):
+/// wake hints alias `cid % 64` there and are never consumed. A ring
+/// needs a power-of-two width, so the HELIX-RC shape runs 128 cores.
+/// The naive loop pays for every core every cycle, so these cases run
+/// the smallest workload only.
+const WIDE: usize = 65;
+const WIDE_RING: usize = 128;
+
+#[test]
+fn fast_forward_is_cycle_exact_on_wide_helix_machine() {
+    for w in smallest_three().into_iter().take(1) {
+        let compiled = compile(&w.program, &HccConfig::v3(WIDE_RING as u32)).expect(&w.name);
+        let cfg = MachineConfig::helix_rc(WIDE_RING);
+        let fast = simulate(&compiled, &cfg, FUEL).expect(&w.name);
+        let naive = simulate(&compiled, &cfg.clone().without_fast_forward(), FUEL).expect(&w.name);
+        assert_reports_identical(&fast, &naive, &w.name);
+    }
+}
+
+#[test]
+fn fast_forward_is_cycle_exact_on_wide_conventional_machine() {
+    for w in smallest_three().into_iter().take(1) {
+        let compiled = compile(&w.program, &HccConfig::v3(WIDE as u32)).expect(&w.name);
+        let cfg = MachineConfig::conventional(WIDE);
+        let fast = simulate(&compiled, &cfg, FUEL).expect(&w.name);
+        let naive = simulate(&compiled, &cfg.clone().without_fast_forward(), FUEL).expect(&w.name);
+        assert_reports_identical(&fast, &naive, &w.name);
+    }
+}
+
+#[test]
+fn fast_forward_is_cycle_exact_sequential_wide() {
+    for w in smallest_three().into_iter().take(1) {
+        let cfg = MachineConfig::conventional(WIDE);
+        let fast = simulate_sequential(&w.program, &cfg, FUEL).expect(&w.name);
+        let naive = simulate_sequential(&w.program, &cfg.clone().without_fast_forward(), FUEL)
+            .expect(&w.name);
+        assert_reports_identical(&fast, &naive, &w.name);
+    }
+}
+
 /// Scenario nest with a loop-carried value resolved at the exit
 /// barrier. Reduction combining there charges machine cycles the ring
 /// clock never sees, so the ring permanently lags the core clock; the
